@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized run (reduced subset, fewer repeats)")
     parser.add_argument("--check", action="store_true",
-                        help="fail on >25% regression vs the committed JSON")
+                        help="fail on >25%% regression vs the committed JSON")
     parser.add_argument("--runs", type=int, default=3,
                         help="sweep timing repetitions (median is reported)")
     parser.add_argument("--jobs", type=int, default=4,

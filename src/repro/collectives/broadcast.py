@@ -32,13 +32,19 @@ from repro.collectives.schedules import (
     level_participants,
     resolve_root,
 )
-from repro.errors import CollectiveError
 from repro.hbsplib.context import HbspContext
 from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
 from repro.model.predict import predict_broadcast, predict_broadcast_plan
 from repro.sim.macro import macro_safe
-from repro.tuning.plan import SchedulePlan, binomial_rounds, split_segments
+from repro.tuning.plan import (
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    call_plan,
+    phases_plan,
+    split_segments,
+)
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -49,13 +55,6 @@ __all__ = ["broadcast_program", "run_broadcast", "predict_broadcast_cost"]
 #: share index _TAG_FULL.
 _TAG_STRIDE = 1 << 16
 _TAG_FULL = _TAG_STRIDE - 1
-
-
-def _phase_of(phases: str | t.Mapping[int, str], level: int) -> str:
-    mode = phases if isinstance(phases, str) else phases.get(level, "two")
-    if mode not in ("one", "two"):
-        raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
-    return mode
 
 
 def _share_counts(
@@ -82,7 +81,7 @@ def broadcast_program(
     ctx: HbspContext,
     n: int,
     root: int,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     balanced_shares: bool = False,
     seed: int = 0,
     plan: SchedulePlan | None = None,
@@ -98,14 +97,15 @@ def broadcast_program(
         make_items(seed, root, n) if ctx.pid == root else None
     )
     k = ctx.runtime.tree.k
+    plan = plan or phases_plan(phases, k)
     for level in range(k, 0, -1):
-        schedule = plan.level(level) if plan is not None else None
-        mode = _phase_of(phases, level) if schedule is None else schedule.algorithm
+        schedule = plan.level(level)
+        mode = schedule.algorithm
         participants = level_participants(ctx, level, root)
         coordinator = effective_coordinator(ctx, level, root)
         am_participant = ctx.pid in participants
         if mode == "one":
-            segments = 1 if schedule is None else schedule.segments
+            segments = schedule.segments
             if segments == 1:
                 if ctx.pid == coordinator and data is not None:
                     with ctx.phase(f"broadcast full L{level}", level=level):
@@ -222,7 +222,7 @@ def run_broadcast(
     n: int,
     *,
     root: int | RootPolicy | None = None,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     balanced_shares: bool = False,
     scores: t.Mapping[str, float] | None = None,
     seed: int = 0,
@@ -249,6 +249,8 @@ def run_broadcast(
         macro=macro,
     )
     root_pid = resolve_root(runtime, root)
+    k = runtime.params.k
+    plan, tag = call_plan("broadcast", k, plan, phases)
     result = runtime.run(
         broadcast_program, n, root_pid, phases, balanced_shares, seed, plan
     )
@@ -257,18 +259,12 @@ def run_broadcast(
         if balanced_shares
         else None
     )
-    if plan is None:
-        predicted = predict_broadcast(
-            runtime.params, n, root=root_pid, phases=phases, fractions=fractions
-        )
-        name = f"broadcast(n={n}, root=pid{root_pid}, phases={phases!r})"
-    else:
-        predicted = predict_broadcast_plan(
-            runtime.params, n, plan, root=root_pid, fractions=fractions
-        )
-        name = f"broadcast(n={n}, root=pid{root_pid}, plan={plan.key})"
+    predicted = predict_broadcast_plan(
+        runtime.params, n, plan, root=root_pid, fractions=fractions
+    )
+    predicted.name = f"broadcast(k={k}, n={n}{tag})"
     return CollectiveOutcome(
-        name=name,
+        name=f"broadcast(n={n}, root=pid{root_pid}{tag})",
         time=result.time,
         supersteps=result.supersteps,
         values=result.values,
@@ -283,7 +279,7 @@ def predict_broadcast_cost(
     n: int,
     *,
     root: int | None = None,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     fractions: t.Sequence[float] | None = None,
 ) -> CostLedger:
     """Closed-form broadcast cost (re-export of

@@ -37,7 +37,13 @@ from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
 from repro.model.predict import predict_gather, predict_gather_plan
 from repro.sim.macro import macro_safe
-from repro.tuning.plan import SchedulePlan, binomial_rounds, split_segments
+from repro.tuning.plan import (
+    SchedulePlan,
+    binomial_rounds,
+    call_plan,
+    default_plan,
+    split_segments,
+)
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -58,19 +64,20 @@ def gather_program(
     ``counts[pid]`` items are generated locally; the program returns
     ``(held_items, checksum)`` — the root ends with ``sum(counts)``
     items, everyone else with 0.  ``plan`` selects per-level flat
-    (optionally segmented) or binomial-tree fan-in; ``None`` (and the
-    default plan) is the paper's single-step flat schedule.
+    (optionally segmented) or binomial-tree fan-in; ``None`` is the
+    default plan, the paper's single-step flat schedule.
     """
     data = make_items(seed, ctx.pid, counts[ctx.pid])
     buffer: list[np.ndarray] = [data]
     k = ctx.runtime.tree.k
+    plan = plan or default_plan("gather", k)
     for level in range(1, k + 1):
-        schedule = plan.level(level) if plan is not None else None
-        if schedule is None or schedule.algorithm == "flat":
+        schedule = plan.level(level)
+        if schedule.algorithm == "flat":
             sender = effective_coordinator(ctx, level - 1, root)
             receiver = effective_coordinator(ctx, level, root)
             sending = ctx.pid == sender and ctx.pid != receiver
-            segments = 1 if schedule is None else schedule.segments
+            segments = schedule.segments
             if segments == 1:
                 if sending:
                     with ctx.phase(f"gather up L{level}", level=level):
@@ -167,19 +174,15 @@ def run_gather(
     )
     root_pid = resolve_root(runtime, root)
     counts = split_counts(runtime, n, workload)
+    k = runtime.params.k
+    plan, tag = call_plan("gather", k, plan)
     result = runtime.run(gather_program, counts, root_pid, seed, plan)
-    if plan is None:
-        predicted = predict_gather(
-            runtime.params, n, root=root_pid, counts=counts
-        )
-    else:
-        predicted = predict_gather_plan(
-            runtime.params, n, plan, root=root_pid, counts=counts
-        )
+    predicted = predict_gather_plan(
+        runtime.params, n, plan, root=root_pid, counts=counts
+    )
+    predicted.name = f"gather(k={k}, n={n}{tag})"
     return CollectiveOutcome(
-        name=f"gather(n={n}, root=pid{root_pid})"
-        if plan is None
-        else f"gather(n={n}, root=pid{root_pid}, plan={plan.key})",
+        name=f"gather(n={n}, root=pid{root_pid}{tag})",
         time=result.time,
         supersteps=result.supersteps,
         values=result.values,

@@ -10,23 +10,38 @@ evaluates an entire grid of configurations with array operations:
 per-level ``r·h`` maxima, ``g·h + L`` ledger terms, and workload
 subtree sums all become numpy expressions over the grid axis.
 
+One kernel body per op
+----------------------
+
+Each kernel has one vectorized body, ``evaluate_plans``, which prices
+grid points under :class:`~repro.tuning.plan.SchedulePlan` schedules:
+points sharing a plan form one group and evaluate as one array pass.  The
+plan-less ``evaluate`` is an adapter: it builds the plan from its
+arguments (``default_plan`` for gather, the per-level plan of each
+point's ``phases`` for broadcast), calls ``evaluate_plans``, and
+re-points the grid's ledger names at the plan-less form
+(``gather(k=…, n=…)``, ``broadcast(k=…, n=…, phases=…)``).  A lone
+plan is one group over the whole grid, with no per-point work.
+
 Bit-identity contract
 ---------------------
 
 The kernels are not approximations.  For every grid point, the charged
 ``(label, level, gh, L)`` steps and the ledger total are **the same
-floats** the scalar :func:`~repro.model.predict.predict_gather` /
-:func:`~repro.model.predict.predict_broadcast` produce — enforced by
-``tests/model/test_kernels.py`` and the hypothesis suite in
-``tests/properties/test_prop_kernels.py`` with exact ``==`` on every
-component.  This works because the scalar path is a fixed sequence of
-IEEE-754 double operations (``r*h`` products, a running max, ``g*h``,
-``+ L``) and the vectorized path performs the *same* operations
-elementwise; integer workload arithmetic (subtree sums, two-phase
-shares) is exact in int64.  The only knowingly scalar piece is
-:func:`~repro.bytemark.ranking.partition_items` (largest-remainder
-with string-keyed tie-breaks), which runs once per *unique* ``n``
-rather than once per grid point.
+floats** the scalar :func:`~repro.model.predict.predict_gather_plan` /
+:func:`~repro.model.predict.predict_broadcast_plan` produce (and so
+the plan-less adapters over them) — enforced by
+``tests/model/test_kernels.py``, ``tests/model/test_plan_kernels.py``,
+the golden ledgers in ``tests/model/test_golden_ledgers.py`` and the
+hypothesis suite in ``tests/properties/test_prop_kernels.py`` with
+exact ``==`` on every component.  This works because the scalar path
+is a fixed sequence of IEEE-754 double operations (``r*h`` products, a
+running max, ``g*h``, ``+ L``) and the vectorized path performs the
+*same* operations elementwise; integer workload arithmetic (subtree
+sums, shares, segment chunks) is exact in int64.  The only knowingly
+scalar piece is :func:`~repro.bytemark.ranking.partition_items`
+(largest-remainder with string-keyed tie-breaks), which runs once per
+*unique* ``n`` rather than once per grid point.
 
 Usage
 -----
@@ -51,6 +66,13 @@ from repro.errors import CollectiveError, ModelError
 from repro.model.cost import CostLedger
 from repro.model.params import HBSPParams
 from repro.model.predict import default_counts
+from repro.tuning.plan import (
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    default_plan,
+    phases_plan,
+)
 from repro.util.units import BYTES_PER_INT
 
 __all__ = [
@@ -61,11 +83,6 @@ __all__ = [
     "balanced_counts",
     "equal_counts",
 ]
-
-#: Phase-scheme spec accepted per point: the same shapes the scalar
-#: ``predict_broadcast`` takes (``"one"``/``"two"`` or a per-level map).
-PhaseSpec = t.Union[str, t.Mapping[int, str]]
-
 
 # ---------------------------------------------------------------------------
 # Workload grids
@@ -99,30 +116,66 @@ def equal_counts(params: HBSPParams, ns: np.ndarray) -> np.ndarray:
 class _Step:
     """One charged super-step, for every grid point at once.
 
-    ``labels[mode][cluster]`` resolves the label; gather steps carry a
-    single mode, broadcast steps one per phase scheme (``code`` holds
-    the per-point mode index).
+    ``labels[choice[i]]`` is point ``i``'s label.
     """
 
     level: int
     gh: np.ndarray  # (G,) selected g*h per point
     L: np.ndarray  # (G,) selected L charge per point
-    choice: np.ndarray  # (G,) index into the level's cluster list
-    labels: tuple[tuple[str, ...], ...]
-    code: np.ndarray | None = None  # (G,) mode per point; None = mode 0
+    choice: np.ndarray  # (G,) index into the step's cluster list
+    labels: tuple[str, ...]
 
     def label(self, i: int) -> str:
-        mode = 0 if self.code is None else int(self.code[i])
-        return self.labels[mode][int(self.choice[i])]
+        return self.labels[int(self.choice[i])]
+
+
+def _worst_step(
+    level: int, gh_rows: np.ndarray, L_rows: np.ndarray, labels: tuple[str, ...]
+) -> _Step:
+    """Charge a super-step: per point, the costliest cluster row.
+
+    ``gh_rows`` is ``(clusters, G)``, ``L_rows`` the clusters' ``L``
+    charges; ``argmax`` takes the first maximum, like the scalar scan.
+    """
+    choice = np.argmax(gh_rows + L_rows[:, np.newaxis], axis=0)
+    gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
+    return _Step(level=level, gh=gh, L=L_rows[choice], choice=choice, labels=labels)
+
+
+def _round_steps(
+    level: int,
+    L_level: np.ndarray,
+    per_round: dict[int, list[tuple[int, np.ndarray]]],
+    what: str,
+) -> list[_Step]:
+    """One step per binomial round over the clusters still in it.
+
+    ``per_round[t]`` lists ``(cluster j, (G,) g·h)`` for round ``t``.
+    """
+    steps = []
+    for t_round in sorted(per_round):
+        entries = per_round[t_round]
+        js = np.array([j for j, _ in entries], dtype=np.int64)
+        labels = tuple(
+            f"super{level}: binomial {what} round {t_round + 1} "
+            f"in {(level, int(j))}"
+            for j in js
+        )
+        steps.append(
+            _worst_step(
+                level, np.stack([gh for _, gh in entries]), L_level[js], labels
+            )
+        )
+    return steps
 
 
 class KernelGrid:
-    """The evaluated grid: per-step arrays plus ledger reconstruction.
+    """One uniform-plan group: per-step arrays plus ledger reconstruction.
 
     ``totals`` reproduces :attr:`CostLedger.total` exactly (``math.fsum``
     over step totals; for <= 2 steps a single IEEE add is the correctly
-    rounded sum, so it vectorizes).  ``ledger(i)`` rebuilds the full
-    itemised :class:`~repro.model.cost.CostLedger` for one point —
+    rounded sum, so it vectorizes).  ``ledger(i, name)`` rebuilds the
+    full itemised :class:`~repro.model.cost.CostLedger` for one point —
     bit-identical to the scalar prediction.
     """
 
@@ -133,14 +186,12 @@ class KernelGrid:
         roots: np.ndarray,
         steps: t.Sequence[_Step],
         active: np.ndarray,
-        name_of: t.Callable[[int], str],
     ) -> None:
         self.collective = collective
         self.ns = ns
         self.roots = roots
         self.steps = list(steps)
         self.active = active
-        self._name_of = name_of
 
     @property
     def size(self) -> int:
@@ -168,11 +219,9 @@ class KernelGrid:
             out = np.where(self.active, out, 0.0)
         return out
 
-    def ledger(self, i: int) -> CostLedger:
-        """The full cost ledger of grid point ``i``."""
-        if not 0 <= i < self.size:
-            raise ModelError(f"grid index {i} out of range for size {self.size}")
-        ledger = CostLedger(self._name_of(i))
+    def ledger(self, i: int, name: str) -> CostLedger:
+        """The full cost ledger of grid point ``i``, named ``name``."""
+        ledger = CostLedger(name)
         if self.active[i]:
             for step in self.steps:
                 ledger.charge(
@@ -182,10 +231,6 @@ class KernelGrid:
                     L=float(step.L[i]),
                 )
         return ledger
-
-    def ledgers(self) -> list[CostLedger]:
-        """All ledgers, in grid order."""
-        return [self.ledger(i) for i in range(self.size)]
 
     def __repr__(self) -> str:
         return (
@@ -203,6 +248,10 @@ class PlanGrid:
     this wrapper scatters group results back onto the caller's axis.
     ``totals`` and ``ledger(i)`` keep the bit-identity contract against
     the scalar ``predict_gather_plan`` / ``predict_broadcast_plan``.
+
+    ``name_of(i)`` names point ``i``'s ledger
+    (``<op>(k=…, n=…, plan=<key>)``); the plan-less ``evaluate``
+    adapters re-point it at their plan-less names.
     """
 
     def __init__(
@@ -210,7 +259,7 @@ class PlanGrid:
         collective: str,
         ns: np.ndarray,
         roots: np.ndarray,
-        plans: t.Sequence[t.Any],
+        plans: t.Sequence[SchedulePlan],
         grids: t.Sequence[KernelGrid],
         group_of: np.ndarray,
         pos_of: np.ndarray,
@@ -222,6 +271,11 @@ class PlanGrid:
         self.grids = list(grids)
         self._group_of = group_of
         self._pos_of = pos_of
+        plan_list = self.plans
+        self.name_of: t.Callable[[int], str] = lambda i: (
+            f"{collective}(k={plan_list[i].k}, n={int(ns[i])}, "
+            f"plan={plan_list[i].key})"
+        )
 
     @property
     def size(self) -> int:
@@ -231,6 +285,8 @@ class PlanGrid:
     @functools.cached_property
     def totals(self) -> np.ndarray:
         """``(G,)`` ledger totals, matching ``CostLedger.total`` exactly."""
+        if len(self.grids) == 1:
+            return self.grids[0].totals
         out = np.zeros(self.size)
         for gid, grid in enumerate(self.grids):
             mask = self._group_of == gid
@@ -241,7 +297,8 @@ class PlanGrid:
         """The full cost ledger of grid point ``i``."""
         if not 0 <= i < self.size:
             raise ModelError(f"grid index {i} out of range for size {self.size}")
-        return self.grids[int(self._group_of[i])].ledger(int(self._pos_of[i]))
+        grid = self.grids[int(self._group_of[i])]
+        return grid.ledger(int(self._pos_of[i]), self.name_of(i))
 
     def ledgers(self) -> list[CostLedger]:
         """All ledgers, in grid order."""
@@ -254,14 +311,28 @@ class PlanGrid:
         )
 
 
-def _check_plans(
-    plans: t.Any, op: str, k: int, G: int
-) -> list[t.Any]:
-    """Normalise/validate the per-point plan axis."""
-    from repro.tuning.plan import SchedulePlan
+def _plan_groups(
+    plans: SchedulePlan | t.Sequence[SchedulePlan], op: str, k: int, G: int
+) -> tuple[
+    list[SchedulePlan],
+    list[tuple[SchedulePlan, np.ndarray | slice]],
+    np.ndarray,
+    np.ndarray,
+]:
+    """Validate the per-point plan axis and partition it into groups.
 
+    Returns ``(plan_list, groups, group_of, pos_of)``: ``groups`` pairs
+    each distinct plan with the grid indices it prices.  A lone plan is
+    one group over the whole grid (a ``slice``), with no per-point
+    hashing or index arrays.
+    """
     if isinstance(plans, SchedulePlan):
         plan_list = [plans] * G
+        groups: list[tuple[SchedulePlan, np.ndarray | slice]] = [
+            (plans, slice(None))
+        ]
+        group_of = np.zeros(G, dtype=np.int64)
+        pos_of = np.arange(G, dtype=np.int64)
     else:
         plan_list = list(plans)
         if len(plan_list) != G:
@@ -269,7 +340,18 @@ def _check_plans(
                 f"plans must be one plan or a length-{G} sequence, "
                 f"got {len(plan_list)}"
             )
-    for plan in set(plan_list):
+        members: dict[SchedulePlan, list[int]] = {}
+        for i, plan in enumerate(plan_list):
+            members.setdefault(plan, []).append(i)
+        group_of = np.zeros(G, dtype=np.int64)
+        pos_of = np.zeros(G, dtype=np.int64)
+        groups = []
+        for gid, (plan, idxs) in enumerate(members.items()):
+            sel = np.array(idxs, dtype=np.int64)
+            group_of[sel] = gid
+            pos_of[sel] = np.arange(sel.size, dtype=np.int64)
+            groups.append((plan, sel))
+    for plan, _ in groups:
         if not isinstance(plan, SchedulePlan):
             raise CollectiveError(f"expected a SchedulePlan, got {plan!r}")
         if plan.op != op:
@@ -278,25 +360,7 @@ def _check_plans(
             raise CollectiveError(
                 f"plan schedules {plan.k} levels, topology has k={k}"
             )
-    return plan_list
-
-
-def _group_plans(
-    plan_list: t.Sequence[t.Any], G: int
-) -> tuple[list[tuple[t.Any, np.ndarray]], np.ndarray, np.ndarray]:
-    """Partition grid indices into uniform-plan groups."""
-    groups: dict[t.Any, list[int]] = {}
-    for i, plan in enumerate(plan_list):
-        groups.setdefault(plan, []).append(i)
-    group_of = np.zeros(G, dtype=np.int64)
-    pos_of = np.zeros(G, dtype=np.int64)
-    out = []
-    for gid, (plan, idxs) in enumerate(groups.items()):
-        sel = np.array(idxs, dtype=np.int64)
-        group_of[sel] = gid
-        pos_of[sel] = np.arange(sel.size, dtype=np.int64)
-        out.append((plan, sel))
-    return out, group_of, pos_of
+    return plan_list, groups, group_of, pos_of
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +481,26 @@ class _CompiledTree:
         assert coords_below is not None
         return self.r0[coords_below[start:stop]]
 
+    def cluster(
+        self,
+        level: int,
+        j: int,
+        coords_here: np.ndarray,
+        coords_below: np.ndarray | None,
+        G: int,
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """``(C, r_coord, child_r, own_pos)`` of cluster ``M_{level,j}``:
+        fan-out, coordinator ``r`` and ``(C, G)`` child-coordinator
+        ``r`` per point, and the position of the child the coordinator
+        belongs to."""
+        start, stop = self.child_slice[level][j]
+        C = stop - start
+        coord = coords_here[j]
+        child_r = self.sender_r(level, start, stop, coords_below)
+        if child_r.shape[1] == 1:
+            child_r = np.broadcast_to(child_r, (C, G))
+        return C, self.r0[coord], child_r, self.child_pos[level][j][coord]
+
     def weighted_fractions(self, level: int, j: int) -> dict[str, float]:
         """Per-child first-phase fractions for the "c"-weighted scheme.
 
@@ -458,14 +542,14 @@ def _check_ns(ns: np.ndarray | t.Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class GatherKernel:
-    """Vectorized :func:`~repro.model.predict.predict_gather`.
+    """Vectorized :func:`~repro.model.predict.predict_gather_plan`.
 
     Compile once per parameter set; evaluate arbitrary grids of
-    ``(n, root, counts)`` points.  The gather ascends level by level:
-    subtree totals are ``np.add.reduceat`` segment sums, the per-cluster
-    h-relation is an elementwise max over ``r·h`` products, and the
-    worst cluster per level is an ``argmax`` (first-max, matching the
-    scalar strict ``>`` scan).
+    ``(n, root, counts, plan)`` points.  The gather ascends level by
+    level: subtree totals are ``np.add.reduceat`` segment sums, the
+    per-cluster h-relation is an elementwise max over ``r·h`` products,
+    and the worst cluster per step is an ``argmax`` (first-max, matching
+    the scalar first-maximum scan).
     """
 
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
@@ -486,69 +570,24 @@ class GatherKernel:
         *,
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         counts: np.ndarray | None = None,
-    ) -> KernelGrid:
-        """Evaluate every ``(n, root, counts)`` point in one pass.
+    ) -> PlanGrid:
+        """Evaluate every ``(n, root, counts)`` point under the paper's
+        flat schedule, in one pass.
 
         ``counts`` is an optional ``(G, p)`` int64 matrix of initial
         per-processor item counts (default: the balanced workload per
-        point, as in the scalar predictor).
+        point, as in the scalar predictor).  An adapter:
+        :meth:`evaluate_plans` on ``default_plan("gather", k)``, with
+        the ledgers named ``gather(k=…, n=…)`` as by
+        :func:`~repro.model.predict.predict_gather`.
         """
-        tree = self._tree
-        params, item_bytes = self.params, self.item_bytes
-        ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
-        if counts is None:
-            counts = balanced_counts(params, ns)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (G, params.p):
-                raise CollectiveError(
-                    f"counts must have shape ({G}, {params.p}), "
-                    f"got {counts.shape}"
-                )
-            sums = counts.sum(axis=1)
-            if not np.array_equal(sums, ns):
-                i = int(np.argmax(sums != ns))
-                raise CollectiveError(
-                    f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
-                )
-
-        def name_of(i: int) -> str:
-            return f"gather(k={params.k}, n={int(ns[i])})"
-
-        active = np.ones(G, dtype=bool)
-        if params.k == 0 or params.p == 1 or G == 0:
-            return KernelGrid("gather", ns, roots_arr, [], active, name_of)
-
-        steps: list[_Step] = []
-        totals_below = np.ascontiguousarray(counts.T)  # (p, G) int64
-        coords_below: np.ndarray | None = None
-        for level in range(1, params.k + 1):
-            totals_here = np.add.reduceat(
-                totals_below, tree.child_start[level], axis=0
-            )
-            coords_here = tree.coords(level, roots_arr)
-            gh_stack = self._flat_gh(
-                level, totals_below, totals_here, coords_here, coords_below, G
-            )
-            cost_stack = gh_stack + tree.L[level][:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=tree.L[level][choice],
-                    choice=choice,
-                    labels=(self._labels[level],),
-                )
-            )
-            totals_below = totals_here
-            coords_below = coords_here
-        return KernelGrid("gather", ns, roots_arr, steps, active, name_of)
+        k = self.params.k
+        grid = self.evaluate_plans(
+            ns, default_plan("gather", k), roots=roots, counts=counts
+        )
+        points = grid.ns
+        grid.name_of = lambda i: f"gather(k={k}, n={int(points[i])})"
+        return grid
 
     # -- schedule-plan evaluation ---------------------------------------------
 
@@ -566,8 +605,7 @@ class GatherKernel:
 
         ``segment=(s, S)`` prices chunk ``s`` of an ``S``-way segmented
         level (each child coordinator sends ``T//S + (1 if s < T%S)`` of
-        its ``T`` accumulated items); ``None`` is the whole message —
-        the exact arithmetic of the plan-less :meth:`evaluate`.
+        its ``T`` accumulated items); ``None`` is the whole message.
         """
         tree, item_bytes = self._tree, self.item_bytes
         m_here = self.params.m[level]
@@ -620,17 +658,14 @@ class GatherKernel:
         tree, item_bytes = self._tree, self.item_bytes
         per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
         for j in range(self.params.m[level]):
-            start, stop = tree.child_slice[level][j]
-            C = stop - start
-            R = max(0, C - 1).bit_length()
+            C, _, child_r, own_pos = tree.cluster(
+                level, j, coords_here, coords_below, G
+            )
+            R = binomial_rounds(C)
             if R == 0:
                 continue
+            start, stop = tree.child_slice[level][j]
             child_tot = totals_below[start:stop]
-            child_r = tree.sender_r(level, start, stop, coords_below)
-            if child_r.shape[1] == 1:
-                child_r = np.broadcast_to(child_r, (C, G))
-            coord = coords_here[j]
-            own_pos = tree.child_pos[level][j][coord]
             idx = (
                 own_pos[np.newaxis, :]
                 + np.arange(C, dtype=np.int64)[:, np.newaxis]
@@ -648,36 +683,11 @@ class GatherKernel:
                     rows.append(rot_r[q - half] * volume)
                 gh = tree.g * np.max(np.stack(rows), axis=0)
                 per_round.setdefault(t_round, []).append((j, gh))
-        steps: list[_Step] = []
-        for t_round in sorted(per_round):
-            entries = per_round[t_round]
-            js = np.array([j for j, _ in entries], dtype=np.int64)
-            gh_stack = np.stack([gh for _, gh in entries])
-            L_here = tree.L[level][js]
-            cost_stack = gh_stack + L_here[:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            labels = tuple(
-                f"super{level}: binomial gather round {t_round + 1} "
-                f"in {(level, int(j))}"
-                for j in js
-            )
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=L_here[choice],
-                    choice=choice,
-                    labels=(labels,),
-                )
-            )
-        return steps
+        return _round_steps(level, tree.L[level], per_round, "gather")
 
     def _plan_steps(
         self,
-        plan: t.Any,
+        plan: SchedulePlan,
         ns: np.ndarray,
         roots_arr: np.ndarray,
         counts: np.ndarray,
@@ -702,11 +712,6 @@ class GatherKernel:
                         coords_below, G,
                         segment=None if S == 1 else (s, S),
                     )
-                    cost_stack = gh_stack + tree.L[level][:, np.newaxis]
-                    choice = np.argmax(cost_stack, axis=0)
-                    gh_sel = np.take_along_axis(
-                        gh_stack, choice[np.newaxis, :], axis=0
-                    )[0]
                     labels = (
                         self._labels[level]
                         if S == 1
@@ -716,13 +721,7 @@ class GatherKernel:
                         )
                     )
                     steps.append(
-                        _Step(
-                            level=level,
-                            gh=gh_sel,
-                            L=tree.L[level][choice],
-                            choice=choice,
-                            labels=(labels,),
-                        )
+                        _worst_step(level, gh_stack, tree.L[level], labels)
                     )
             else:  # binomial
                 steps.extend(
@@ -737,7 +736,7 @@ class GatherKernel:
     def evaluate_plans(
         self,
         ns: np.ndarray | t.Sequence[int],
-        plans: t.Any,
+        plans: SchedulePlan | t.Sequence[SchedulePlan],
         *,
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         counts: np.ndarray | None = None,
@@ -769,27 +768,23 @@ class GatherKernel:
                 raise CollectiveError(
                     f"counts sum to {int(sums[i])}, expected n={int(ns[i])}"
                 )
-        plan_list = _check_plans(plans, "gather", params.k, G)
-        groups, group_of, pos_of = _group_plans(plan_list, G)
+        plan_list, groups, group_of, pos_of = _plan_groups(
+            plans, "gather", params.k, G
+        )
         grids = []
         for plan, sel in groups:
             sub_ns = ns[sel]
             sub_roots = roots_arr[sel]
-
-            def name_of(
-                i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
-            ) -> str:
-                return f"gather(k={params.k}, n={int(sub_ns[i])}, plan={plan.key})"
-
-            active = np.ones(sub_ns.size, dtype=bool)
-            if params.k == 0 or params.p == 1 or sub_ns.size == 0:
-                grids.append(
-                    KernelGrid("gather", sub_ns, sub_roots, [], active, name_of)
-                )
-                continue
-            steps = self._plan_steps(plan, sub_ns, sub_roots, counts[sel])
+            steps = (
+                []
+                if params.k == 0 or params.p == 1 or sub_ns.size == 0
+                else self._plan_steps(plan, sub_ns, sub_roots, counts[sel])
+            )
             grids.append(
-                KernelGrid("gather", sub_ns, sub_roots, steps, active, name_of)
+                KernelGrid(
+                    "gather", sub_ns, sub_roots, steps,
+                    np.ones(sub_ns.size, dtype=bool),
+                )
             )
         return PlanGrid("gather", ns, roots_arr, plan_list, grids, group_of, pos_of)
 
@@ -798,46 +793,13 @@ class GatherKernel:
 # Broadcast
 # ---------------------------------------------------------------------------
 
-def _phase_codes(
-    phases: PhaseSpec | t.Sequence[PhaseSpec], k: int, G: int
-) -> tuple[np.ndarray, t.Callable[[int], PhaseSpec]]:
-    """Per-point phase codes (0 = one, 1 = two) for levels 1..k."""
-
-    def code_row(spec: PhaseSpec) -> list[int]:
-        row = []
-        for level in range(1, k + 1):
-            if isinstance(spec, str):
-                mode = spec
-            else:
-                mode = spec.get(level, "two")
-            if mode not in ("one", "two"):
-                raise CollectiveError(
-                    f"phase must be 'one' or 'two', got {mode!r}"
-                )
-            row.append(0 if mode == "one" else 1)
-        return row
-
-    if isinstance(phases, (str, t.Mapping)):
-        codes = np.broadcast_to(
-            np.array(code_row(phases), dtype=np.int64), (G, k)
-        )
-        return codes, lambda i: phases
-    specs = list(phases)
-    if len(specs) != G:
-        raise CollectiveError(
-            f"phases must be one spec or a length-{G} sequence, "
-            f"got {len(specs)}"
-        )
-    codes = np.array([code_row(spec) for spec in specs], dtype=np.int64)
-    return codes, lambda i: specs[i]
-
-
 class BroadcastKernel:
-    """Vectorized :func:`~repro.model.predict.predict_broadcast`.
+    """Vectorized :func:`~repro.model.predict.predict_broadcast_plan`.
 
-    Descends from level k to 1; per point the phase scheme can differ
-    (``phases`` accepts one spec or a per-point sequence), so the
-    planner's whole ``2^k`` enumeration is a single evaluation.
+    Descends from level k to 1, each level one-phase (optionally
+    segmented), two-phase, or binomial as its plan says.  Per point the
+    plan can differ, so the planner's whole ``2^k`` phase enumeration
+    is a single call (one group per distinct plan).
     """
 
     def __init__(self, params: HBSPParams, *, item_bytes: int = BYTES_PER_INT) -> None:
@@ -900,137 +862,37 @@ class BroadcastKernel:
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         phases: PhaseSpec | t.Sequence[PhaseSpec] = "two",
         fractions: t.Sequence[float] | None = None,
-    ) -> KernelGrid:
-        """Evaluate every ``(n, root, phase-scheme)`` point in one pass."""
-        tree = self._tree
-        params, item_bytes = self.params, self.item_bytes
-        ns = _check_ns(ns)
-        G = ns.size
-        roots_arr = tree.check_roots(roots, G)
-        k = params.k
+    ) -> PlanGrid:
+        """Evaluate every ``(n, root, phase-scheme)`` point in one pass.
 
-        if params.k == 0 or params.p == 1 or G == 0:
-            def flat_name(i: int) -> str:
-                spec = phases if isinstance(phases, (str, t.Mapping)) else phases[i]
-                return f"broadcast(k={k}, n={int(ns[i])}, phases={spec!r})"
-
-            return KernelGrid(
-                "broadcast", ns, roots_arr, [],
-                np.zeros(G, dtype=bool), flat_name,
-            )
-
-        codes, spec_of = _phase_codes(phases, k, G)
-        if fractions is not None and len(fractions) != params.p:
-            raise CollectiveError(
-                f"fractions must have p={params.p} entries"
-            )
-
-        def name_of(i: int) -> str:
-            return f"broadcast(k={k}, n={int(ns[i])}, phases={spec_of(i)!r})"
-
-        active = ns > 0
-        steps: list[_Step] = []
-        for level in range(k, 0, -1):
-            fanned = self._fanned[level]
-            if not fanned:
-                continue
-            code_l = codes[:, level - 1]
-            any_one = bool((code_l == 0).any())
-            any_two = bool((code_l == 1).any())
-            coords_here = tree.coords(level, roots_arr)
-            coords_below = tree.coords(level - 1, roots_arr) if level - 1 >= 1 else None
-            cost_stack = np.empty((len(fanned), G))
-            gh_rows = np.empty((len(fanned), G))
-            L_rows = np.empty((len(fanned), G))
-            for row, j in enumerate(fanned):
-                start, stop = tree.child_slice[level][j]
-                C = stop - start
-                coord = coords_here[j]
-                r_coord = tree.r0[coord]
-                child_r = tree.sender_r(level, start, stop, coords_below)
-                if child_r.shape[1] == 1:
-                    child_r = np.broadcast_to(child_r, (C, G))
-                own_pos = tree.child_pos[level][j][coord]
-                L_j = tree.L[level][j]
-                gh_one = tot_one = gh_two = tot_two = None
-                if any_one:
-                    values = np.empty((C + 1, G))
-                    values[0] = r_coord * ((ns * (C - 1)) * item_bytes)
-                    values[1:] = child_r * (ns * item_bytes)[np.newaxis, :]
-                    np.put_along_axis(
-                        values[1:], own_pos[np.newaxis, :], 0.0, axis=0
-                    )
-                    gh_one = tree.g * values.max(axis=0)
-                    tot_one = gh_one + L_j
-                if any_two:
-                    shares = self._shares(level, j, C, ns, fractions)
-                    own_share = np.take_along_axis(
-                        shares, own_pos[np.newaxis, :], axis=0
-                    )[0]
-                    values_a = np.empty((C + 1, G))
-                    values_a[0] = r_coord * ((ns - own_share) * item_bytes)
-                    values_a[1:] = child_r * (shares * item_bytes)
-                    np.put_along_axis(
-                        values_a[1:], own_pos[np.newaxis, :], 0.0, axis=0
-                    )
-                    h_a = values_a.max(axis=0)
-                    values_b = child_r * (
-                        np.maximum(shares * (C - 1), ns[np.newaxis, :] - shares)
-                        * item_bytes
-                    )
-                    h_b = values_b.max(axis=0)
-                    gh_two = tree.g * (h_a + h_b)
-                    tot_two = gh_two + 2 * L_j
-                if not any_two:
-                    gh_sel, tot_sel = gh_one, tot_one
-                    L_sel = np.full(G, L_j)
-                elif not any_one:
-                    gh_sel, tot_sel = gh_two, tot_two
-                    L_sel = np.full(G, 2 * L_j)
-                else:
-                    two = code_l == 1
-                    gh_sel = np.where(two, gh_two, gh_one)
-                    tot_sel = np.where(two, tot_two, tot_one)
-                    L_sel = np.where(two, 2 * L_j, L_j)
-                gh_rows[row] = gh_sel
-                cost_stack[row] = tot_sel
-                L_rows[row] = L_sel
-            choice = np.argmax(cost_stack, axis=0)
-            gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-            L = np.take_along_axis(L_rows, choice[np.newaxis, :], axis=0)[0]
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh,
-                    L=L,
-                    choice=choice,
-                    labels=self._labels[level],
-                    code=code_l,
+        An adapter: each point's ``phases`` spec becomes its per-level
+        plan (:func:`~repro.tuning.plan.phases_plan`), priced by
+        :meth:`evaluate_plans`, with the ledgers named
+        ``broadcast(k=…, n=…, phases=…)`` as by
+        :func:`~repro.model.predict.predict_broadcast`.
+        """
+        k = self.params.k
+        if isinstance(phases, (str, t.Mapping)):
+            plans: SchedulePlan | list[SchedulePlan] = phases_plan(phases, k)
+            spec_of: t.Callable[[int], PhaseSpec] = lambda i: phases
+        else:
+            specs = list(phases)
+            G = len(ns)
+            if len(specs) != G:
+                raise CollectiveError(
+                    f"phases must be one spec or a length-{G} sequence, "
+                    f"got {len(specs)}"
                 )
-            )
-        return KernelGrid("broadcast", ns, roots_arr, steps, active, name_of)
+            plans = [phases_plan(spec, k) for spec in specs]
+            spec_of = specs.__getitem__
+        grid = self.evaluate_plans(ns, plans, roots=roots, fractions=fractions)
+        points = grid.ns
+        grid.name_of = lambda i: (
+            f"broadcast(k={k}, n={int(points[i])}, phases={spec_of(i)!r})"
+        )
+        return grid
 
     # -- schedule-plan evaluation ---------------------------------------------
-
-    def _cluster_tables(
-        self,
-        level: int,
-        j: int,
-        coords_here: np.ndarray,
-        coords_below: np.ndarray | None,
-        G: int,
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(C, r_coord, child_r, own_pos) of one fanned cluster."""
-        tree = self._tree
-        start, stop = tree.child_slice[level][j]
-        C = stop - start
-        coord = coords_here[j]
-        r_coord = tree.r0[coord]
-        child_r = tree.sender_r(level, start, stop, coords_below)
-        if child_r.shape[1] == 1:
-            child_r = np.broadcast_to(child_r, (C, G))
-        own_pos = tree.child_pos[level][j][coord]
-        return C, r_coord, child_r, own_pos
 
     def _one_phase_step(
         self,
@@ -1050,9 +912,8 @@ class BroadcastKernel:
             s, S = segment
             chunk = ns // S + (s < ns % S)
         gh_rows = np.empty((len(fanned), G))
-        cost_rows = np.empty((len(fanned), G))
         for row, j in enumerate(fanned):
-            C, r_coord, child_r, own_pos = self._cluster_tables(
+            C, r_coord, child_r, own_pos = tree.cluster(
                 level, j, coords_here, coords_below, G
             )
             values = np.empty((C + 1, G))
@@ -1060,10 +921,6 @@ class BroadcastKernel:
             values[1:] = child_r * (chunk * item_bytes)[np.newaxis, :]
             np.put_along_axis(values[1:], own_pos[np.newaxis, :], 0.0, axis=0)
             gh_rows[row] = tree.g * values.max(axis=0)
-            cost_rows[row] = gh_rows[row] + tree.L[level][j]
-        choice = np.argmax(cost_rows, axis=0)
-        gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-        L_of = np.array([tree.L[level][j] for j in fanned])
         labels = (
             self._labels[level][0]
             if segment is None
@@ -1073,9 +930,7 @@ class BroadcastKernel:
                 for j in fanned
             )
         )
-        return _Step(
-            level=level, gh=gh, L=L_of[choice], choice=choice, labels=(labels,)
-        )
+        return _worst_step(level, gh_rows, tree.L[level][fanned], labels)
 
     def _two_phase_step(
         self,
@@ -1090,9 +945,8 @@ class BroadcastKernel:
         tree, item_bytes = self._tree, self.item_bytes
         fanned = self._fanned[level]
         gh_rows = np.empty((len(fanned), G))
-        cost_rows = np.empty((len(fanned), G))
         for row, j in enumerate(fanned):
-            C, r_coord, child_r, own_pos = self._cluster_tables(
+            C, r_coord, child_r, own_pos = tree.cluster(
                 level, j, coords_here, coords_below, G
             )
             shares = self._shares(level, j, C, ns, fractions)
@@ -1112,16 +966,8 @@ class BroadcastKernel:
             )
             h_b = values_b.max(axis=0)
             gh_rows[row] = tree.g * (h_a + h_b)
-            cost_rows[row] = gh_rows[row] + 2 * tree.L[level][j]
-        choice = np.argmax(cost_rows, axis=0)
-        gh = np.take_along_axis(gh_rows, choice[np.newaxis, :], axis=0)[0]
-        L_of = np.array([2 * tree.L[level][j] for j in fanned])
-        return _Step(
-            level=level,
-            gh=gh,
-            L=L_of[choice],
-            choice=choice,
-            labels=(self._labels[level][1],),
+        return _worst_step(
+            level, gh_rows, 2 * tree.L[level][fanned], self._labels[level][1]
         )
 
     def _binomial_steps(
@@ -1141,10 +987,10 @@ class BroadcastKernel:
         tree, item_bytes = self._tree, self.item_bytes
         per_round: dict[int, list[tuple[int, np.ndarray]]] = {}
         for j in self._fanned[level]:
-            C, _r_coord, child_r, own_pos = self._cluster_tables(
+            C, _r_coord, child_r, own_pos = tree.cluster(
                 level, j, coords_here, coords_below, G
             )
-            R = max(0, C - 1).bit_length()
+            R = binomial_rounds(C)
             idx = (
                 own_pos[np.newaxis, :]
                 + np.arange(C, dtype=np.int64)[:, np.newaxis]
@@ -1159,36 +1005,11 @@ class BroadcastKernel:
                     rows.append(rot_r[q + half] * volume)
                 gh = tree.g * np.max(np.stack(rows), axis=0)
                 per_round.setdefault(t_round, []).append((j, gh))
-        steps: list[_Step] = []
-        for t_round in sorted(per_round):
-            entries = per_round[t_round]
-            js = np.array([j for j, _ in entries], dtype=np.int64)
-            gh_stack = np.stack([gh for _, gh in entries])
-            L_here = tree.L[level][js]
-            cost_stack = gh_stack + L_here[:, np.newaxis]
-            choice = np.argmax(cost_stack, axis=0)
-            gh_sel = np.take_along_axis(
-                gh_stack, choice[np.newaxis, :], axis=0
-            )[0]
-            labels = tuple(
-                f"super{level}: binomial bcast round {t_round + 1} "
-                f"in {(level, int(j))}"
-                for j in js
-            )
-            steps.append(
-                _Step(
-                    level=level,
-                    gh=gh_sel,
-                    L=L_here[choice],
-                    choice=choice,
-                    labels=(labels,),
-                )
-            )
-        return steps
+        return _round_steps(level, tree.L[level], per_round, "bcast")
 
     def _plan_steps(
         self,
-        plan: t.Any,
+        plan: SchedulePlan,
         ns: np.ndarray,
         roots_arr: np.ndarray,
         fractions: t.Sequence[float] | None,
@@ -1231,7 +1052,7 @@ class BroadcastKernel:
     def evaluate_plans(
         self,
         ns: np.ndarray | t.Sequence[int],
-        plans: t.Any,
+        plans: SchedulePlan | t.Sequence[SchedulePlan],
         *,
         roots: int | t.Sequence[int] | np.ndarray | None = None,
         fractions: t.Sequence[float] | None = None,
@@ -1248,36 +1069,21 @@ class BroadcastKernel:
         roots_arr = tree.check_roots(roots, G)
         if fractions is not None and len(fractions) != params.p:
             raise CollectiveError(f"fractions must have p={params.p} entries")
-        plan_list = _check_plans(plans, "broadcast", params.k, G)
-        groups, group_of, pos_of = _group_plans(plan_list, G)
+        plan_list, groups, group_of, pos_of = _plan_groups(
+            plans, "broadcast", params.k, G
+        )
         grids = []
         degenerate = params.k == 0 or params.p == 1
         for plan, sel in groups:
             sub_ns = ns[sel]
             sub_roots = roots_arr[sel]
-
-            def name_of(
-                i: int, plan: t.Any = plan, sub_ns: np.ndarray = sub_ns
-            ) -> str:
-                return (
-                    f"broadcast(k={params.k}, n={int(sub_ns[i])}, "
-                    f"plan={plan.key})"
-                )
-
             if degenerate or sub_ns.size == 0:
-                grids.append(
-                    KernelGrid(
-                        "broadcast", sub_ns, sub_roots, [],
-                        np.zeros(sub_ns.size, dtype=bool), name_of,
-                    )
-                )
-                continue
-            steps = self._plan_steps(plan, sub_ns, sub_roots, fractions)
+                steps, active = [], np.zeros(sub_ns.size, dtype=bool)
+            else:
+                steps = self._plan_steps(plan, sub_ns, sub_roots, fractions)
+                active = sub_ns > 0
             grids.append(
-                KernelGrid(
-                    "broadcast", sub_ns, sub_roots, steps,
-                    sub_ns > 0, name_of,
-                )
+                KernelGrid("broadcast", sub_ns, sub_roots, steps, active)
             )
         return PlanGrid(
             "broadcast", ns, roots_arr, plan_list, grids, group_of, pos_of

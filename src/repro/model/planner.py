@@ -49,7 +49,8 @@ def best_broadcast_phases(
     """The per-level one-/two-phase choice with the lowest predicted cost.
 
     Enumerates all ``2^k`` combinations (k is small by construction)
-    as one kernel grid and returns ``(phases, predicted_ledger)``.  The
+    in one kernel call — each combination's per-level plan is its own
+    group — and returns ``(phases, predicted_ledger)``.  The
     choice captures both Section-4.4 regimes: one-phase for tiny
     fan-outs or when ``r_{i,s} > m``, two-phase otherwise.
     """

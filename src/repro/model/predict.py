@@ -2,13 +2,20 @@
 
 Two families of functions:
 
-* ``predict_gather`` / ``predict_broadcast`` — *exact* h-relation
-  evaluations of the paper's algorithms on an arbitrary HBSP^k
-  parameter set (any k, any root, any workload distribution).  These
-  return an itemised :class:`~repro.model.cost.CostLedger`.
+* *Exact* h-relation evaluations of the paper's algorithms on an
+  arbitrary HBSP^k parameter set (any k, any root, any workload
+  distribution), returning an itemised
+  :class:`~repro.model.cost.CostLedger`.  Each op has one scalar body,
+  priced over a :class:`~repro.tuning.plan.SchedulePlan`:
+  ``predict_gather_plan`` and ``predict_broadcast_plan``.  The
+  plan-less ``predict_gather`` / ``predict_broadcast`` are adapters:
+  they build the plan from their arguments (``default_plan`` for
+  gather, the per-level plan of ``phases`` for broadcast), call the
+  body, and keep their plan-less ledger names.
 * ``paper_*`` — the paper's *simplified* formulas, verbatim
   (e.g. HBSP^1 gather ``= g·n + L_{1,0}``), used by tests and by the
   Section-4 analysis benchmarks to show where the simplifications hold.
+  They are the independent second reference for the exact bodies.
 
 Conventions: ``n`` counts data items, ``item_bytes`` converts items to
 the bytes that ``g`` (seconds/byte) is expressed against.  Volumes
@@ -23,8 +30,16 @@ import typing as t
 
 from repro.bytemark.ranking import partition_items
 from repro.errors import CollectiveError, ModelError
-from repro.model.cost import CostLedger
+from repro.model.cost import CostLedger, h_relation
 from repro.model.params import HBSPParams, Key
+from repro.tuning.plan import (
+    PhaseSpec,
+    SchedulePlan,
+    binomial_rounds,
+    default_plan,
+    phases_plan,
+    split_segments,
+)
 from repro.util.units import BYTES_PER_INT
 
 __all__ = [
@@ -90,56 +105,16 @@ def predict_gather(
     ``counts[j]`` is processor ``j``'s initial item count (default:
     the balanced workload ``c_{0,j}·n``).  ``root`` overrides the
     coordinator of its own chain (default: the fastest processor).
+
+    An adapter: prices ``default_plan("gather", k)`` (flat fan-in at
+    every level) with :func:`predict_gather_plan` and names the ledger
+    ``gather(k=…, n=…)``.
     """
-    root = _check_inputs(params, n, root)
-    if counts is None:
-        counts = default_counts(params, n)
-    if len(counts) != params.p:
-        raise CollectiveError(f"counts must have p={params.p} entries")
-    if sum(counts) != n:
-        raise CollectiveError(f"counts sum to {sum(counts)}, expected n={n}")
-
-    ledger = CostLedger(f"gather(k={params.k}, n={n})")
-    if params.k == 0 or params.p == 1:
-        return ledger  # nothing to communicate
-
-    # Items held by the coordinator of each subtree as the gather
-    # ascends: starts as each leaf's own count.
-    subtree_total: dict[Key, int] = {(0, j): int(counts[j]) for j in range(params.p)}
-
-    for level in range(1, params.k + 1):
-        worst: tuple[float, float, float, str] | None = None  # (total, gh, L, label)
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            total_items = sum(subtree_total[c] for c in children)
-            subtree_total[key] = total_items
-            coord = _coordinator_leaf(params, key, root)
-            r_coord = params.r_of(0, coord)
-            # The child subtree whose coordinator *is* this cluster's
-            # coordinator keeps its data local (no self-send).
-            own = next(
-                (c for c in children if _coordinator_leaf(params, c, root) == coord),
-                None,
-            )
-            received = total_items - (subtree_total[own] if own is not None else 0)
-            loads = [(r_coord, received * item_bytes)]
-            for child in children:
-                if child == own:
-                    continue
-                sender = _coordinator_leaf(params, child, root)
-                loads.append(
-                    (params.r_of(0, sender), subtree_total[child] * item_bytes)
-                )
-            from repro.model.cost import h_relation
-
-            gh = params.g * h_relation(loads)
-            L = params.L_of(level, j)
-            total = gh + L
-            if worst is None or total > worst[0]:
-                worst = (total, gh, L, f"super{level}: gather into {key}")
-        assert worst is not None
-        ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+    ledger = predict_gather_plan(
+        params, n, default_plan("gather", params.k),
+        root=root, counts=counts, item_bytes=item_bytes,
+    )
+    ledger.name = f"gather(k={params.k}, n={n})"
     return ledger
 
 
@@ -148,7 +123,7 @@ def predict_broadcast(
     n: int,
     *,
     root: int | None = None,
-    phases: str | t.Mapping[int, str] = "two",
+    phases: PhaseSpec = "two",
     fractions: t.Sequence[float] | None = None,
     item_bytes: int = BYTES_PER_INT,
 ) -> CostLedger:
@@ -170,110 +145,36 @@ def predict_broadcast(
         scheme (Fig. 4(b)'s balanced first phase); equal split when
         omitted.  Interpreted per cluster over its children by
         normalised child ``c`` when given as ``"c"``.
+
+    An adapter: prices :func:`~repro.tuning.plan.phases_plan` of
+    ``phases`` with :func:`predict_broadcast_plan` and names the ledger
+    ``broadcast(k=…, n=…, phases=…)``.
     """
-    root = _check_inputs(params, n, root)
-
-    def phase_of(level: int) -> str:
-        if isinstance(phases, str):
-            mode = phases
-        else:
-            mode = phases.get(level, "two")
-        if mode not in ("one", "two"):
-            raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
-        return mode
-
-    ledger = CostLedger(f"broadcast(k={params.k}, n={n}, phases={phases!r})")
-    if params.k == 0 or params.p == 1 or n == 0:
-        return ledger
-
-    from repro.model.cost import h_relation
-
-    for level in range(params.k, 0, -1):
-        mode = phase_of(level)
-        worst: tuple[float, float, float, int, str] | None = None
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            m = len(children)
-            if m <= 1:
-                continue  # singleton wrapper cluster: nothing to send
-            coord = _coordinator_leaf(params, key, root)
-            r_coord = params.r_of(0, coord)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            peers = [i for i in range(m) if i != own_pos]
-            if mode == "one":
-                loads = [(r_coord, n * len(peers) * item_bytes)]
-                loads += [(params.r_of(0, child_coords[i]), n * item_bytes) for i in peers]
-                gh = params.g * h_relation(loads)
-                L = params.L_of(level, j)
-                total, n_L = gh + L, 1
-                label = f"super{level}: one-phase bcast in {key}"
-                parts = (gh, L)
-            else:
-                if fractions is None:
-                    shares = {i: n // m + (1 if i < n % m else 0) for i in range(m)}
-                else:
-                    if len(fractions) != params.p:
-                        raise CollectiveError(
-                            f"fractions must have p={params.p} entries"
-                        )
-                    weights = {
-                        str(i): sum(params.c_of(0, leaf) for leaf in params.leaf_indices(*children[i]))
-                        for i in range(m)
-                    }
-                    total_w = sum(weights.values())
-                    part = partition_items(
-                        n, {k_: v / total_w for k_, v in weights.items()}
-                    )
-                    shares = {i: part[str(i)] for i in range(m)}
-                own_share = shares[own_pos] if own_pos is not None else 0
-                # Phase A: coordinator scatters shares.
-                loads_a = [(r_coord, (n - own_share) * item_bytes)]
-                loads_a += [
-                    (params.r_of(0, child_coords[i]), shares[i] * item_bytes)
-                    for i in peers
-                ]
-                # Phase B: total exchange of shares among children.
-                loads_b = [
-                    (
-                        params.r_of(0, child_coords[i]),
-                        max(shares[i] * (m - 1), n - shares[i]) * item_bytes,
-                    )
-                    for i in range(m)
-                ]
-                gh = params.g * (h_relation(loads_a) + h_relation(loads_b))
-                L = params.L_of(level, j)
-                total, n_L = gh + 2 * L, 2
-                label = f"super{level}: two-phase bcast in {key}"
-                parts = (gh, 2 * L)
-            if worst is None or total > worst[0]:
-                worst = (total, parts[0], parts[1], n_L, label)
-        if worst is not None:
-            ledger.charge(worst[4], level=level, gh=worst[1], L=worst[2])
+    ledger = predict_broadcast_plan(
+        params, n, phases_plan(phases, params.k),
+        root=root, fractions=fractions, item_bytes=item_bytes,
+    )
+    ledger.name = f"broadcast(k={params.k}, n={n}, phases={phases!r})"
     return ledger
 
 
 # ---------------------------------------------------------------------------
-# Schedule-plan predictions (the auto-tuner's scalar reference)
+# Schedule-plan predictions: the one scalar body per op
 # ---------------------------------------------------------------------------
 #
 # ``predict_gather_plan`` / ``predict_broadcast_plan`` price an explicit
-# :class:`~repro.tuning.plan.SchedulePlan` — per-level flat/binomial
-# algorithm choice plus message segmentation — with the same per-level
-# worst-cluster accounting as the plan-less predictors above.  On the
-# default plan they charge the *identical* ledger (same floats, same
-# labels) as ``predict_gather`` / ``predict_broadcast``; the vectorized
-# ``model.kernels`` plan evaluators are bit-identical to these scalars.
+# :class:`~repro.tuning.plan.SchedulePlan` — per-level algorithm choice
+# plus message segmentation — charging, per level, the worst cluster's
+# super-step.  They are the scalar reference the vectorized
+# ``model.kernels`` plan evaluators are bit-identical to, and the bodies
+# behind the plan-less adapters above.
 #
 # Modelling conventions for the extended space:
 #
 # * **segmentation** (``segments = S``): every sender splits its payload
-#   into ``S`` chunks (chunk ``s`` holds ``T//S + (1 if s < T%S)``
-#   items) and the level runs ``S`` chunked sub-steps, each charging its
-#   own ``g·h + L`` — latency multiplies, peak h-relation shrinks.
+#   into ``S`` chunks (``split_segments``) and the level runs ``S``
+#   chunked sub-steps, each charging its own ``g·h + L`` — latency
+#   multiplies, peak h-relation shrinks.
 # * **binomial**: ⌈log₂C⌉ rounds over the child-coordinator positions,
 #   rotated so the cluster coordinator sits at relative position 0.  In
 #   round ``t`` the holder at relative ``q`` (``q mod 2^{t+1} = 2^t``)
@@ -285,20 +186,53 @@ def predict_broadcast(
 #   rounds' worst-cluster scans.
 
 
-def _binomial_rounds(fan_out: int) -> int:
-    """⌈log₂ fan_out⌉ — rounds of a binomial tree over the children."""
-    return max(0, fan_out - 1).bit_length()
+def _clusters(params: HBSPParams, level: int, root: int) -> list[tuple]:
+    """Per-cluster facts of one level, shared by its sub-steps.
+
+    One ``(key, children, r_coord, child_r, own_pos, L)`` per cluster:
+    ``child_r`` lists the child coordinators' ``r``; ``own_pos`` is the
+    child whose coordinator also coordinates the cluster (its data stays
+    local — no self-send), or ``None``.
+    """
+    out = []
+    for j in range(params.m[level]):
+        key = (level, j)
+        children = params.children_of(*key)
+        coord = _coordinator_leaf(params, key, root)
+        child_coords = [_coordinator_leaf(params, c, root) for c in children]
+        own_pos = next(
+            (i for i, c in enumerate(child_coords) if c == coord), None
+        )
+        out.append(
+            (
+                key,
+                children,
+                params.r_of(0, coord),
+                [params.r_of(0, c) for c in child_coords],
+                own_pos,
+                params.L_of(level, j),
+            )
+        )
+    return out
 
 
-def _chunk(total: int, segments: int, s: int) -> int:
-    """Items in chunk ``s`` when ``total`` splits into ``segments``."""
-    return total // segments + (1 if s < total % segments else 0)
+def _charge_worst(
+    ledger: CostLedger, level: int, steps: list[tuple[float, float, str]]
+) -> None:
+    """Charge a super-step: the costliest ``(gh, L, label)`` cluster step.
+
+    Clusters run concurrently, so the step costs its slowest cluster
+    (the first one on ties).  No clusters, no charge.
+    """
+    if steps:
+        gh, L, label = max(steps, key=lambda step: step[0] + step[1])
+        ledger.charge(label, level=level, gh=gh, L=L)
 
 
 def predict_gather_plan(
     params: HBSPParams,
     n: int,
-    plan: t.Any,
+    plan: SchedulePlan,
     *,
     root: int | None = None,
     counts: t.Sequence[int] | None = None,
@@ -308,11 +242,9 @@ def predict_gather_plan(
 
     ``plan`` is a :class:`repro.tuning.plan.SchedulePlan` with
     ``op == "gather"`` and one :class:`~repro.tuning.plan.LevelSchedule`
-    per hierarchy level.  The default plan reproduces
-    :func:`predict_gather` exactly.
+    per hierarchy level.  The one scalar gather body:
+    :func:`predict_gather` is this on the default plan.
     """
-    from repro.model.cost import h_relation
-
     if plan.op != "gather":
         raise CollectiveError(f"plan is for {plan.op!r}, expected 'gather'")
     root = _check_inputs(params, n, root)
@@ -331,38 +263,26 @@ def predict_gather_plan(
     if params.k == 0 or params.p == 1:
         return ledger
 
+    # Items held by the coordinator of each subtree as the gather
+    # ascends: starts as each leaf's own count.
     subtree_total: dict[Key, int] = {(0, j): int(counts[j]) for j in range(params.p)}
 
     for level in range(1, params.k + 1):
         schedule = plan.level(level)
-        # Per-cluster facts, shared by every sub-step of the level.
-        clusters = []
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
+        clusters = _clusters(params, level, root)
+        totals_of = []
+        for key, children, *_ in clusters:
             totals = [subtree_total[c] for c in children]
             subtree_total[key] = sum(totals)
-            coord = _coordinator_leaf(params, key, root)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            clusters.append(
-                (
-                    key,
-                    totals,
-                    params.r_of(0, coord),
-                    [params.r_of(0, c) for c in child_coords],
-                    own_pos,
-                    params.L_of(level, j),
-                )
-            )
+            totals_of.append(totals)
         if schedule.algorithm == "flat":
             S = schedule.segments
             for s in range(S):
-                worst: tuple[float, float, float, str] | None = None
-                for key, totals, r_coord, child_r, own_pos, L in clusters:
-                    chunks = [_chunk(c, S, s) for c in totals]
+                steps = []
+                for (key, _, r_coord, child_r, own_pos, L), totals in zip(
+                    clusters, totals_of
+                ):
+                    chunks = [split_segments(c, S)[s] for c in totals]
                     received = sum(
                         c for i, c in enumerate(chunks) if i != own_pos
                     )
@@ -372,24 +292,20 @@ def predict_gather_plan(
                         for i in range(len(chunks))
                         if i != own_pos
                     ]
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
                     label = (
                         f"super{level}: gather into {key}"
                         if S == 1
                         else f"super{level}.{s + 1}: gather into {key}"
                     )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                assert worst is not None
-                ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+                    steps.append((params.g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, steps)
         else:  # binomial
-            rounds = [_binomial_rounds(len(c[1])) for c in clusters]
+            rounds = [binomial_rounds(len(totals)) for totals in totals_of]
             for t_round in range(max(rounds, default=0)):
-                worst = None
+                steps = []
                 half = 1 << t_round
-                for (key, totals, _r_coord, child_r, own_pos, L), R in zip(
-                    clusters, rounds
+                for (key, _, _, child_r, own_pos, L), totals, R in zip(
+                    clusters, totals_of, rounds
                 ):
                     if R <= t_round:
                         continue
@@ -404,23 +320,19 @@ def predict_gather_plan(
                         volume = held * item_bytes
                         loads.append((child_r[(own_pos + q) % C], volume))
                         loads.append((child_r[(own_pos + q - half) % C], volume))
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
                     label = (
                         f"super{level}: binomial gather round {t_round + 1} "
                         f"in {key}"
                     )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                if worst is not None:
-                    ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+                    steps.append((params.g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, steps)
     return ledger
 
 
 def predict_broadcast_plan(
     params: HBSPParams,
     n: int,
-    plan: t.Any,
+    plan: SchedulePlan,
     *,
     root: int | None = None,
     fractions: t.Sequence[float] | None = None,
@@ -428,12 +340,10 @@ def predict_broadcast_plan(
 ) -> CostLedger:
     """Cost of the HBSP^k broadcast under an explicit schedule plan.
 
-    The default plan (two-phase everywhere) reproduces
-    :func:`predict_broadcast` exactly; ``fractions`` selects the
-    c-weighted first-phase shares for two-phase levels, as there.
+    The one scalar broadcast body: :func:`predict_broadcast` is this on
+    the per-level plan of its ``phases``.  ``fractions`` selects the
+    c-weighted first-phase shares for two-phase levels.
     """
-    from repro.model.cost import h_relation
-
     if plan.op != "broadcast":
         raise CollectiveError(f"plan is for {plan.op!r}, expected 'broadcast'")
     root = _check_inputs(params, n, root)
@@ -448,53 +358,25 @@ def predict_broadcast_plan(
 
     for level in range(params.k, 0, -1):
         schedule = plan.level(level)
-        clusters = []
-        for j in range(params.m[level]):
-            key = (level, j)
-            children = params.children_of(*key)
-            m = len(children)
-            if m <= 1:
-                continue  # singleton wrapper cluster: nothing to send
-            coord = _coordinator_leaf(params, key, root)
-            child_coords = [_coordinator_leaf(params, c, root) for c in children]
-            own_pos = next(
-                (i for i, c in enumerate(child_coords) if c == coord), None
-            )
-            clusters.append(
-                (
-                    key,
-                    children,
-                    params.r_of(0, coord),
-                    [params.r_of(0, c) for c in child_coords],
-                    own_pos,
-                    params.L_of(level, j),
-                )
-            )
-        if not clusters:
-            continue
+        # Singleton wrapper clusters have nothing to send.
+        clusters = [c for c in _clusters(params, level, root) if len(c[1]) > 1]
         if schedule.algorithm == "one":
             S = schedule.segments
-            for s in range(S):
-                chunk = _chunk(n, S, s)
-                worst: tuple[float, float, float, str] | None = None
+            for s, chunk in enumerate(split_segments(n, S)):
+                steps = []
                 for key, children, r_coord, child_r, own_pos, L in clusters:
-                    m = len(children)
-                    peers = [i for i in range(m) if i != own_pos]
+                    peers = [i for i in range(len(children)) if i != own_pos]
                     loads = [(r_coord, chunk * len(peers) * item_bytes)]
                     loads += [(child_r[i], chunk * item_bytes) for i in peers]
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
                     label = (
                         f"super{level}: one-phase bcast in {key}"
                         if S == 1
                         else f"super{level}.{s + 1}: one-phase bcast in {key}"
                     )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                assert worst is not None
-                ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+                    steps.append((params.g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, steps)
         elif schedule.algorithm == "two":
-            worst = None
+            steps = []
             for key, children, r_coord, child_r, own_pos, L in clusters:
                 m = len(children)
                 peers = [i for i in range(m) if i != own_pos]
@@ -518,8 +400,10 @@ def predict_broadcast_plan(
                     )
                     shares = {i: part[str(i)] for i in range(m)}
                 own_share = shares[own_pos] if own_pos is not None else 0
+                # Phase A: the coordinator scatters shares.
                 loads_a = [(r_coord, (n - own_share) * item_bytes)]
                 loads_a += [(child_r[i], shares[i] * item_bytes) for i in peers]
+                # Phase B: total exchange of shares among the children.
                 loads_b = [
                     (
                         child_r[i],
@@ -528,18 +412,14 @@ def predict_broadcast_plan(
                     for i in range(m)
                 ]
                 gh = params.g * (h_relation(loads_a) + h_relation(loads_b))
-                total = gh + 2 * L
-                label = f"super{level}: two-phase bcast in {key}"
-                if worst is None or total > worst[0]:
-                    worst = (total, gh, 2 * L, label)
-            assert worst is not None
-            ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+                steps.append((gh, 2 * L, f"super{level}: two-phase bcast in {key}"))
+            _charge_worst(ledger, level, steps)
         else:  # binomial
-            rounds = [_binomial_rounds(len(c[1])) for c in clusters]
+            rounds = [binomial_rounds(len(c[1])) for c in clusters]
             for t_round in range(max(rounds, default=0)):
-                worst = None
+                steps = []
                 half = 1 << t_round
-                for (key, children, _r_coord, child_r, own_pos, L), R in zip(
+                for (key, children, _, child_r, own_pos, L), R in zip(
                     clusters, rounds
                 ):
                     if R <= t_round:
@@ -551,16 +431,12 @@ def predict_broadcast_plan(
                     for q in range(min(half, m - half)):
                         loads.append((child_r[(own_pos + q) % m], volume))
                         loads.append((child_r[(own_pos + q + half) % m], volume))
-                    gh = params.g * h_relation(loads)
-                    total = gh + L
                     label = (
                         f"super{level}: binomial bcast round {t_round + 1} "
                         f"in {key}"
                     )
-                    if worst is None or total > worst[0]:
-                        worst = (total, gh, L, label)
-                if worst is not None:
-                    ledger.charge(worst[3], level=level, gh=worst[1], L=worst[2])
+                    steps.append((params.g * h_relation(loads), L, label))
+                _charge_worst(ledger, level, steps)
     return ledger
 
 

@@ -18,8 +18,10 @@ Plans are *pure data*: the cost model prices them
 :func:`~repro.model.predict.predict_broadcast_plan`, vectorized by
 ``model.kernels``), the DES executes them (``collectives/`` programs
 take a ``plan=`` argument), and the decision cache persists them as
-JSON.  ``default_plan`` reproduces the paper's hand schedules exactly
-— a default-plan run is bit-identical to a plan-less run.
+JSON.  A plan is the *only* schedule the gather/broadcast cost model
+and programs branch on: a plan-less call runs :func:`call_plan`'s plan
+built from its arguments — ``default_plan`` for gather, the per-level
+:func:`phases_plan` of ``phases`` for broadcast.
 """
 
 from __future__ import annotations
@@ -34,8 +36,14 @@ __all__ = [
     "BROADCAST_ALGORITHMS",
     "LevelSchedule",
     "SchedulePlan",
+    "call_plan",
     "default_plan",
+    "phases_plan",
 ]
+
+#: A broadcast ``phases`` spec: ``"one"``/``"two"`` for every level, or
+#: ``{level: "one"|"two"}`` with two-phase wherever a level is unset.
+PhaseSpec = t.Union[str, t.Mapping[int, str]]
 
 #: Per-level algorithms understood by the gather program/model.
 GATHER_ALGORITHMS = ("flat", "binomial")
@@ -181,3 +189,39 @@ def default_plan(op: str, k: int) -> SchedulePlan:
     """
     algorithm = "flat" if op == "gather" else "two"
     return SchedulePlan(op, tuple(LevelSchedule(algorithm) for _ in range(k)))
+
+
+def phases_plan(phases: PhaseSpec, k: int) -> SchedulePlan:
+    """The broadcast plan of a ``phases`` spec over levels ``1..k``.
+
+    The one place a phase spec is validated; levels a mapping names
+    beyond ``k`` are ignored.
+    """
+    levels = []
+    for level in range(1, k + 1):
+        mode = phases if isinstance(phases, str) else phases.get(level, "two")
+        if mode not in ("one", "two"):
+            raise CollectiveError(f"phase must be 'one' or 'two', got {mode!r}")
+        levels.append(LevelSchedule(mode))
+    return SchedulePlan("broadcast", tuple(levels))
+
+
+def call_plan(
+    op: str,
+    k: int,
+    plan: SchedulePlan | None = None,
+    phases: PhaseSpec = "two",
+) -> tuple[SchedulePlan, str]:
+    """The plan a gather/broadcast call runs, and the tag that names it.
+
+    An explicit ``plan`` runs as given, tagged ``", plan=<key>"``.  A
+    plan-less call runs the plan built from its arguments:
+    ``default_plan`` for gather (no tag), :func:`phases_plan` for
+    broadcast (tagged ``", phases=<repr>"``).  Ledger and outcome names
+    embed the tag, so a plan-less call keeps its plan-less name.
+    """
+    if plan is not None:
+        return plan, f", plan={plan.key}"
+    if op == "gather":
+        return default_plan(op, k), ""
+    return phases_plan(phases, k), f", phases={phases!r}"
