@@ -26,10 +26,15 @@ import dataclasses
 import math
 import typing as t
 
+import numpy as np
+
 from repro.serve.config import ServiceConfig
 from repro.util.rng import RngStream
 
 __all__ = ["Arrival", "diurnal_rate", "generate_arrivals", "offered_rate"]
+
+#: Exponential gaps drawn per vector call on the Poisson path.
+_CHUNK = 4096
 
 
 def diurnal_rate(
@@ -74,23 +79,53 @@ def generate_arrivals(config: ServiceConfig) -> tuple[Arrival, ...]:
         cdf.append(running)
     cdf[-1] = 1.0  # guard the float tail so every draw lands somewhere
 
-    peak = spec.rate * (1.0 + (spec.amplitude if spec.process == "diurnal" else 0.0))
-    out: list[Arrival] = []
+    if spec.process == "poisson":
+        arrival_times = _poisson_times(times, spec.rate, config.duration)
+    else:
+        arrival_times = _diurnal_times(times, config)
+    draws = kinds.generator.random(len(arrival_times))
+    kind_of = np.searchsorted(cdf, draws, side="right").tolist()
+    return tuple(
+        Arrival(request_id=i, time=at, kind=kind)
+        for i, (at, kind) in enumerate(zip(arrival_times, kind_of))
+    )
+
+
+def _poisson_times(times: RngStream, rate: float, duration: float) -> list[float]:
+    """Arrival instants of a homogeneous Poisson process on ``[0, duration)``.
+
+    Gaps are drawn ``_CHUNK`` at a time and accumulated by ``cumsum``
+    seeded with the running clock — the same draws, and the same
+    sequential float additions, as one scalar draw per arrival.
+    """
+    out: list[float] = []
+    now = 0.0
+    while True:
+        gaps = times.generator.exponential(1.0 / rate, size=_CHUNK)
+        gaps[0] += now
+        clock = np.cumsum(gaps)
+        cut = int(np.searchsorted(clock, duration, side="left"))
+        out.extend(clock[:cut].tolist())
+        if cut < _CHUNK:
+            return out
+        now = float(clock[-1])
+
+
+def _diurnal_times(times: RngStream, config: ServiceConfig) -> list[float]:
+    """Lewis–Shedler thinning; exponential and uniform draws interleave."""
+    spec = config.arrival
+    peak = spec.rate * (1.0 + spec.amplitude)
+    out: list[float] = []
     now = 0.0
     while True:
         now += times.exponential(1.0 / peak)
         if now >= config.duration:
-            break
-        if spec.process == "diurnal":
-            lam = diurnal_rate(
-                now, base=spec.rate, amplitude=spec.amplitude, period=spec.period
-            )
-            if times.uniform() >= lam / peak:
-                continue
-        draw = kinds.uniform()
-        kind = next(i for i, bound in enumerate(cdf) if draw < bound)
-        out.append(Arrival(request_id=len(out), time=now, kind=kind))
-    return tuple(out)
+            return out
+        lam = diurnal_rate(
+            now, base=spec.rate, amplitude=spec.amplitude, period=spec.period
+        )
+        if times.uniform() < lam / peak:
+            out.append(now)
 
 
 def kind_counts(

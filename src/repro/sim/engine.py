@@ -5,10 +5,10 @@ Queue layout — slotted struct-of-arrays event store
 
 The engine used to heap ``(time, seq, Event)`` 3-tuples and wrap every
 :meth:`Engine.call_soon` function in a shim object.  It now keeps a
-preallocated **event store**: a float64 ``array`` of fire times, an
-int32 ``array`` of entry kinds, and a plain list of payload objects,
-all indexed by *slot* and recycled through a free list.  The heap holds
-only ``(time, key)`` 2-tuples where ``key`` packs everything the
+preallocated **event store**: an int32 ``array`` of entry kinds and a
+plain list of payload objects, both indexed by *slot* and recycled
+through a free list.  The heap holds ``(time, key)`` 2-tuples — the
+fire time lives only there — where ``key`` packs everything the
 tie-break needs::
 
     key = (lane << 62) | (seq << 24) | slot
@@ -31,6 +31,12 @@ tie-break needs::
     ``_process()``); 1 — a bare callable (the engine calls it
     directly, which is what lets ``call_soon`` skip allocating any
     wrapper object).
+
+:meth:`Engine.call_each` streams a long sorted batch of callbacks (a
+serving session's arrivals) through the heap one entry at a time: it
+reserves every entry's ``seq`` and lane up front, so the firing order
+is exactly that of one :meth:`Engine.call_at` per entry, while the heap
+holds only the batch's next pending entry.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ class Engine:
         # The slotted event store (see module docstring): parallel
         # arrays indexed by slot, plus the free list of recyclable
         # slots and the heap of (time, packed_key) pairs.
-        self._times = array("d", bytes(8 * _INITIAL_SLOTS))
         self._kinds = array("i", bytes(4 * _INITIAL_SLOTS))
         self._objs: list[t.Any] = [None] * _INITIAL_SLOTS
         self._free: list[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
@@ -102,7 +107,6 @@ class Engine:
             raise SimulationError(
                 f"event store overflow: more than {_SLOT_MASK + 1} simultaneous entries"
             )
-        self._times.extend(array("d", bytes(8 * old)))
         self._kinds.extend(array("i", bytes(4 * old)))
         self._objs.extend([None] * old)
         # Hand out the last new slot; queue the rest for recycling.
@@ -113,7 +117,6 @@ class Engine:
         """Stash ``obj`` in the store and heap its packed key."""
         free = self._free
         slot = free.pop() if free else self._grow()
-        self._times[slot] = at
         self._kinds[slot] = kind
         self._objs[slot] = obj
         self._seq += 1
@@ -160,6 +163,56 @@ class Engine:
         if at < self.now:
             raise SimulationError(f"cannot schedule into the past (at={at!r}, now={self.now!r})")
         self._push(at, 1 if at > self.now else 0, 1, func)
+
+    def call_each(self, times: t.Sequence[float], func: t.Callable[[int], None]) -> None:
+        """Run ``func(i)`` at absolute virtual time ``times[i]``, for every ``i``.
+
+        ``times`` must be nondecreasing.  The firing order is exactly
+        that of ``call_at(times[i], partial(func, i))`` for every ``i``
+        in turn — each entry's sequence number and lane are reserved
+        now — but the heap holds only the next pending entry, so a
+        batch of ``n`` costs O(log heap) per entry instead of growing
+        the heap by ``n``.
+        """
+        n = len(times)
+        if not n:
+            return
+        now = self.now
+        previous = now
+        for at in times:
+            if at < previous:
+                raise SimulationError(
+                    f"cannot schedule into the past (at={at!r}, after "
+                    f"{previous!r}, now={now!r})"
+                )
+            previous = at
+        base = self._seq + 1
+        self._seq += n
+        heap = self._heap
+        kinds = self._kinds
+        objs = self._objs
+        free = self._free
+        index = 0
+
+        def push(j: int) -> None:
+            slot = free.pop() if free else self._grow()
+            kinds[slot] = 1
+            objs[slot] = fire
+            key = ((base + j) << _SLOT_BITS) | slot
+            at = times[j]
+            if at > now:  # the lane call_at would have given it
+                key |= _LANE_FUTURE
+            heappush(heap, (at, key))
+
+        def fire() -> None:
+            nonlocal index
+            i = index
+            index += 1
+            if index < n:
+                push(index)
+            func(i)
+
+        push(0)
 
     def process(self, generator: t.Generator, name: str = "") -> "Process":
         """Start a new process from a generator; see :class:`Process`."""

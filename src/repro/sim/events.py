@@ -114,7 +114,6 @@ class Event:
         engine = self.engine
         free = engine._free
         slot = free.pop() if free else engine._grow()
-        engine._times[slot] = engine.now
         engine._kinds[slot] = 0
         engine._objs[slot] = self
         engine._seq += 1
@@ -193,7 +192,6 @@ class Timeout(Event):
         at = engine.now + delay
         free = engine._free
         slot = free.pop() if free else engine._grow()
-        engine._times[slot] = at
         engine._kinds[slot] = 0
         engine._objs[slot] = self
         engine._seq += 1
