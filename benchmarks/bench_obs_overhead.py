@@ -5,12 +5,13 @@ send, the executor's result merge).  This bench pins down what they
 cost, writing ``BENCH_obs.json``:
 
 * **off** (no active observation) — the default path every experiment
-  takes.  The hooks are single attribute reads that find ``None``.
+  takes.  The hooks are single ``tracer.enabled`` reads that find
+  ``False``.
 * **metrics** (``observe()``) — counters/histograms/ledgers fed from
   the compact per-run records.
 * **spans** (``observe(spans=True)``) — full span timelines.  Recorded
-  for scale, never gated: span tracing deliberately turns the DES
-  trace on and converts every record.
+  for scale, never gated: span tracing deliberately turns every run's
+  tracer on, and the simulator records each span live.
 
 The gate (< 3%): the metrics path is *structurally* the off path plus
 one ``Observation.record_run`` per run — same simulations, same
@@ -170,9 +171,9 @@ def main(argv: list[str] | None = None) -> int:
         },
         "note": (
             "off = no active observation (the default path); metrics = "
-            "observe(); spans = observe(spans=True), which turns the DES "
-            "trace on and is recorded unguarded; all three must render "
-            "byte-identical reports"
+            "observe(); spans = observe(spans=True), which turns every "
+            "run's tracer on and is recorded unguarded; all three must "
+            "render byte-identical reports"
         ),
         scope: entry,
     }

@@ -504,9 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine,
         "note": (
             "off = no active observation (the default path); metrics = "
-            "observe(); spans = observe(spans=True), which turns the DES "
-            "trace on and is recorded unguarded; all three must render "
-            "byte-identical reports"
+            "observe(); spans = observe(spans=True), which turns every "
+            "run's tracer on and is recorded unguarded; all three must "
+            "render byte-identical reports"
         ),
         scope: obs_entry,
     }

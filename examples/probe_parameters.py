@@ -17,6 +17,7 @@ Run:  python examples/probe_parameters.py
 
 from repro import ucf_testbed, run_gather
 from repro.model import calibrate, probe_params
+from repro.obs import gantt
 from repro.util.tables import AsciiTable
 
 
@@ -40,7 +41,7 @@ def main() -> None:
 
     outcome = run_gather(topology, 100_000, trace=True)
     print("where a gather's time goes (g=gather root at the top):")
-    print(outcome.result.trace.gantt(width=64))
+    print(gantt(outcome.result.trace, width=64))
 
 
 if __name__ == "__main__":

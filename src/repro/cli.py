@@ -271,7 +271,9 @@ def _cmd_run(
     print(outcome.predicted.describe())
     if gantt:
         print()
-        print(outcome.result.trace.gantt())
+        from repro.obs import gantt as render_gantt
+
+        print(render_gantt(outcome.result.trace))
     if observation is not None:
         from repro.experiments.runner import _export_observation
 

@@ -271,18 +271,28 @@ class DynamicPlan:
         """Rebuild a plan from :meth:`to_dict` output."""
         if not isinstance(data, t.Mapping) or "events" not in data:
             raise DynamicsError('dynamic plan must be an object with an "events" list')
+        records = data["events"]
+        if not isinstance(records, (list, tuple)):
+            raise DynamicsError(f'"events" must be a list, got {type(records).__name__}')
         events = []
-        for record in data["events"]:
+        for index, record in enumerate(records):
+            if not isinstance(record, t.Mapping):
+                raise DynamicsError(
+                    f"events[{index}] must be an object, got {type(record).__name__}"
+                )
             record = dict(record)
             kind = record.pop("kind", None)
-            if kind not in _KINDS:
+            if not isinstance(kind, str) or kind not in _KINDS:
                 raise DynamicsError(
-                    f"unknown event kind {kind!r}; known: {', '.join(sorted(_KINDS))}"
+                    f"events[{index}]: unknown event kind {kind!r}; "
+                    f"known: {', '.join(sorted(_KINDS))}"
                 )
             try:
                 events.append(_KINDS[kind](**record))
             except TypeError as error:
-                raise DynamicsError(f"bad {kind} specification: {error}") from None
+                raise DynamicsError(
+                    f"events[{index}]: bad {kind} specification: {error}"
+                ) from None
         return cls(events)
 
     def to_json(self, *, indent: int | None = 2) -> str:

@@ -124,13 +124,15 @@ class Injector:
 
     @staticmethod
     def _emit_fault_mark(vm: "VirtualMachine", fault) -> None:
-        """Trace the fault window (category ``"fault"``) for Gantt overlays."""
+        """Record the fault window as a ``"fault"`` span on the run's tracer."""
+        tracer = vm.tracer
+        if not tracer.enabled:
+            return
         end = getattr(fault, "end", math.inf)
-        vm.trace.emit(
-            fault.start,
-            "fault",
-            getattr(fault, "machine", None) or getattr(fault, "network", None) or "*",
-            0.0 if math.isinf(end) else end - fault.start,
+        tracer.add(
+            "fault", "fault", group=vm.span_group,
+            actor=getattr(fault, "machine", None) or getattr(fault, "network", None) or "*",
+            start=fault.start, end=fault.start if math.isinf(end) else end,
             kind=fault.kind,
         )
 

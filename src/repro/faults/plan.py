@@ -294,18 +294,28 @@ class FaultPlan:
         """Rebuild a plan from :meth:`to_dict` output."""
         if not isinstance(data, t.Mapping) or "faults" not in data:
             raise FaultPlanError('fault plan must be an object with a "faults" list')
+        records = data["faults"]
+        if not isinstance(records, (list, tuple)):
+            raise FaultPlanError(f'"faults" must be a list, got {type(records).__name__}')
         faults = []
-        for record in data["faults"]:
+        for index, record in enumerate(records):
+            if not isinstance(record, t.Mapping):
+                raise FaultPlanError(
+                    f"faults[{index}] must be an object, got {type(record).__name__}"
+                )
             record = dict(record)
             kind = record.pop("kind", None)
-            if kind not in _KINDS:
+            if not isinstance(kind, str) or kind not in _KINDS:
                 raise FaultPlanError(
-                    f"unknown fault kind {kind!r}; known: {', '.join(sorted(_KINDS))}"
+                    f"faults[{index}]: unknown fault kind {kind!r}; "
+                    f"known: {', '.join(sorted(_KINDS))}"
                 )
             try:
                 faults.append(_KINDS[kind](**record))
             except TypeError as error:
-                raise FaultPlanError(f"bad {kind} specification: {error}") from None
+                raise FaultPlanError(
+                    f"faults[{index}]: bad {kind} specification: {error}"
+                ) from None
         return cls(faults)
 
     def to_json(self, *, indent: int | None = 2) -> str:

@@ -107,7 +107,7 @@ class _PhaseSpan:
     def __exit__(self, *exc_info: t.Any) -> bool:
         ctx = self._ctx
         self._tracer.add(
-            "phase", self._name, group=ctx.runtime.obs_group,
+            "phase", self._name, group=ctx.task.vm.span_group,
             actor=ctx.machine_name, start=self._start, end=ctx.task.now,
             **self._args,
         )
@@ -264,13 +264,11 @@ class HbspContext:
             task.received_messages, task.received_bytes,
         ))
         self._wait = 0.0
-        tracer = self.runtime.obs_tracer
-        if tracer is not None and self._step_span is not None:
+        if self._step_span is not None:
             self._step_span.args["level"] = (
                 self.runtime.tree.k if level is None else level
             )
-            tracer.finish(self._step_span, now)
-            self._step_span = None
+            self._finish_step_span()
         self.superstep += 1
 
     def _barrier_round(self, level: int | None) -> t.Generator[Event, t.Any, None]:
@@ -295,16 +293,10 @@ class HbspContext:
         yield barrier.wait()
         now = self.task.now
         self._wait += now - start
-        trace = self.runtime.vm.trace
-        if trace.enabled:
-            trace.emit(
-                now, "sync", f"pid{self.pid}",
-                now - start, level=level, superstep=self.superstep,
-            )
-        tracer = self.runtime.obs_tracer
-        if tracer is not None:
-            tracer.add(
-                "barrier", barrier.name, group=self.runtime.obs_group,
+        vm = self.task.vm
+        if vm.tracer.enabled:
+            vm.tracer.add(
+                "barrier", barrier.name, group=vm.span_group,
                 actor=self.machine_name, start=start, end=now,
                 superstep=self.superstep,
             )
@@ -324,7 +316,8 @@ class HbspContext:
         task = self.task
         host = task.host
         unpack_time = host.spec.unpack_time
-        trace = self.runtime.vm.trace
+        vm = task.vm
+        tracing = vm.tracer.enabled
         available = self._available
         while True:
             message = task.try_recv()
@@ -334,10 +327,10 @@ class HbspContext:
             if unpack > 0:
                 start = task.now
                 yield from host.cpu.occupy(unpack)
-                if trace.enabled:
-                    trace.emit(
-                        task.now, "unpack", task.name,
-                        task.now - start, nbytes=message.nbytes, src=message.src,
+                if tracing:
+                    vm.record_span(
+                        "unpack", host.spec.name, start,
+                        nbytes=message.nbytes, src=message.src,
                     )
             available.append(message)
 
@@ -459,8 +452,8 @@ class HbspContext:
         returned unless span tracing is active, so the disabled cost is
         one attribute read.
         """
-        tracer = self.runtime.obs_tracer
-        if tracer is None:
+        tracer = self.task.vm.tracer
+        if not tracer.enabled:
             return _NULL_PHASE
         return _PhaseSpan(self, tracer, name, args)
 
@@ -470,18 +463,25 @@ class HbspContext:
         The span starts at the previous sync's end (the superstep
         boundary) and stays open until :meth:`sync` finishes it, so
         barrier and phase spans recorded in between nest under it.
-        Lazy opening means the final partial superstep — work after
-        the last sync — never leaves a dangling open span.
+        Lazy opening means a final partial superstep without traced
+        work — nothing after the last sync — records no span at all;
+        one with traced work is finished when the program returns.
         """
-        tracer = self.runtime.obs_tracer
-        if tracer is None or self._step_span is not None:
+        vm = self.task.vm
+        if not vm.tracer.enabled or self._step_span is not None:
             return
         marks = self._step_marks
-        self._step_span = tracer.begin(
+        self._step_span = vm.tracer.begin(
             "superstep", f"superstep {self.superstep}",
-            group=self.runtime.obs_group, actor=self.machine_name,
+            group=vm.span_group, actor=self.machine_name,
             start=marks[-1][0] if marks else 0.0,
         )
+
+    def _finish_step_span(self) -> None:
+        """Close this superstep's span, if one is open, at the current time."""
+        if self._step_span is not None:
+            self.task.vm.tracer.finish(self._step_span, self.task.now)
+            self._step_span = None
 
     # -- internal ----------------------------------------------------------------------
     def _check_live(self) -> None:

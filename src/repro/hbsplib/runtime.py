@@ -22,10 +22,9 @@ from repro.hbsplib.context import HbspContext
 from repro.hbsplib.hetero import equal_partition, proportional_partition
 from repro.model.params import HBSPParams, calibrate
 from repro.model.tree import HBSPNode, HBSPTree
-from repro.obs.observe import current_observation
+from repro.obs.spans import Tracer
 from repro.pvm.vm import VirtualMachine
 from repro.sim.barrier import Barrier
-from repro.sim.trace import Trace
 
 __all__ = ["HbspResult", "HbspRuntime"]
 
@@ -47,13 +46,16 @@ class HbspResult:
     supersteps:
         Largest number of synchronisations performed by any process.
     trace:
-        Structured trace (enabled via ``HbspRuntime(trace=True)``).
+        The run's span tracer (enabled via ``HbspRuntime(trace=True)``
+        or an active ``repro.obs.observe(spans=True)``; in the latter
+        case it is the observation's shared tracer, and this run's
+        spans are those in ``runtime.vm.span_group``).
     """
 
     values: dict[int, t.Any]
     time: float
     supersteps: int
-    trace: Trace
+    trace: Tracer
 
     def __repr__(self) -> str:
         return (
@@ -77,7 +79,7 @@ class HbspRuntime:
         pass :func:`repro.bytemark.simulate_scores` output for the
         paper's noisy-measurement setting.
     trace:
-        Enable structured tracing (costs simulation speed).
+        Enable span tracing (costs simulation speed).
     injector:
         Optional fresh :class:`~repro.faults.Injector` attaching a
         fault plan (slowdowns, pauses, link degradation, message
@@ -112,26 +114,11 @@ class HbspRuntime:
     ) -> None:
         self.tree = HBSPTree(topology)
         self.topology = self.tree.topology  # normalised
-        # Pick up an active observation (repro.obs.observe): span
-        # tracing forces the structured trace on so message timing can
-        # be converted to spans after the run.  Pure recording — the
-        # simulated times are unaffected.
-        observation = current_observation()
-        if observation is not None and observation.tracer.enabled:
-            self.obs_tracer: t.Any | None = observation.tracer
-            self.obs_group = observation.take_group()
-            trace = True
-        else:
-            self.obs_tracer = None
-            self.obs_group = ""
         self.vm = VirtualMachine(
             self.topology, trace=trace, serialize_nic=serialize_nic,
             injector=injector, delivery=delivery,
         )
         self.engine = self.vm.engine
-        if self.obs_tracer is not None:
-            self.engine.obs_tracer = self.obs_tracer
-            self.engine.obs_group = self.obs_group
         self.scores = dict(scores) if scores is not None else true_scores(self.topology)
         missing = [m.name for m in self.topology.machines if m.name not in self.scores]
         if missing:
@@ -266,7 +253,7 @@ class HbspRuntime:
     def _macro_engages(self, program: Program) -> bool:
         """Decide the execution path for this run (see the ``macro``
         constructor parameter)."""
-        capable = self.vm.macro_capable and self.obs_tracer is None
+        capable = self.vm.macro_capable
         safe = bool(getattr(program, "_macro_safe", False))
         if self._macro_mode is None:
             return capable and safe
@@ -312,6 +299,7 @@ class HbspRuntime:
             ctx = self._contexts[pid]
             call_args = per_pid_args[pid] if per_pid_args is not None else args
             value = yield from program(ctx, *call_args, **kwargs)
+            ctx._finish_step_span()
             if self.macro is not None:
                 # Stretch the shared clock to this task's trailing
                 # local time before the process completion lands.
@@ -337,5 +325,5 @@ class HbspRuntime:
         }
         supersteps = max((ctx.superstep for ctx in self._contexts), default=0)
         return HbspResult(
-            values=values, time=time, supersteps=supersteps, trace=self.vm.trace
+            values=values, time=time, supersteps=supersteps, trace=self.vm.tracer
         )

@@ -1,16 +1,18 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, summary table.
+"""Exporters: Chrome trace-event JSON, Gantt chart, Prometheus text, summary.
 
 * :func:`chrome_trace` — the ``trace_event`` JSON format understood by
   ``chrome://tracing`` and https://ui.perfetto.dev: one trace *process*
   per span group (one simulated run), one *thread* per actor (one track
   per machine), complete ("X") events with microsecond timestamps.
+* :func:`gantt` — an ASCII Gantt chart of the message-timing spans,
+  one row per machine.
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP``/``# TYPE`` + samples; histograms expand to cumulative
   ``_bucket``/``_sum``/``_count`` series).
 * :func:`summary` — a plain-text roll-up: headline counters plus the
   per-superstep predicted-vs-simulated ledger across observed runs.
 
-All three are pure functions of the observation state and emit
+All four are pure functions of the observation state and emit
 deterministic output (sorted metric families, first-seen span order),
 so cold- and warm-cache runs export byte-identical text.
 """
@@ -27,7 +29,7 @@ from repro.obs.spans import Tracer
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observe import Observation
 
-__all__ = ["chrome_trace", "prometheus_text", "runs_json", "summary"]
+__all__ = ["chrome_trace", "gantt", "prometheus_text", "runs_json", "summary"]
 
 
 # -- Chrome trace_event -------------------------------------------------------
@@ -68,6 +70,53 @@ def chrome_trace(tracer: Tracer) -> str:
     return json.dumps(
         {"traceEvents": events, "displayTimeUnit": "ms"}, separators=(",", ":")
     )
+
+
+def gantt(
+    tracer: Tracer,
+    *,
+    width: int = 72,
+    categories: t.Sequence[str] = ("compute", "pack", "inject", "drain", "unpack"),
+    actors: t.Sequence[str] | None = None,
+) -> str:
+    """Render an ASCII Gantt chart of traced intervals per actor.
+
+    Each actor (machine) gets one row of ``width`` character cells
+    spanning [0, makespan]; a cell shows the first letter of the
+    category that occupied most of its time slice (``.`` for idle).
+    Useful for eyeballing where a collective's time goes — e.g. the
+    root's solid run of ``d``/``u`` cells during a gather.
+    """
+    intervals = [
+        s for s in tracer.spans if s.duration > 0 and s.category in categories
+    ]
+    if not intervals:
+        return "(no traced intervals)"
+    horizon = max(s.end for s in intervals)
+    if horizon <= 0:
+        return "(no traced intervals)"
+    if actors is None:
+        actors = sorted({s.actor for s in intervals})
+    rows = [f"gantt [0 .. {horizon:.6g}s], cell = {horizon / width:.3g}s"]
+    for actor in actors:
+        cells = [dict() for _ in range(width)]  # type: list[dict[str, float]]
+        for span in intervals:
+            if span.actor != actor:
+                continue
+            lo = int(span.start / horizon * width)
+            hi = int(span.end / horizon * width)
+            for cell in range(max(0, lo), min(width, hi + 1)):
+                cell_lo = cell * horizon / width
+                cell_hi = (cell + 1) * horizon / width
+                overlap = min(span.end, cell_hi) - max(span.start, cell_lo)
+                if overlap > 0:
+                    cells[cell][span.category] = (
+                        cells[cell].get(span.category, 0.0) + overlap
+                    )
+        line = "".join(max(cell, key=cell.get)[0] if cell else "." for cell in cells)
+        rows.append(f"{actor:>24s} |{line}|")
+    rows.append("legend: " + ", ".join(f"{c[0]}={c}" for c in categories) + ", .=idle")
+    return "\n".join(rows)
 
 
 def _jsonable(value: t.Any) -> t.Any:

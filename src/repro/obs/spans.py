@@ -18,9 +18,10 @@ Two APIs:
   wall time.  The CLI exporters never record these: shipped traces
   carry only simulated time, so identical runs stay bit-identical.
 
-Mirroring ``sim.trace.Trace``, a disabled tracer is a cheap no-op:
-hot paths guard on :attr:`Tracer.enabled` (one attribute read) and
-every method also no-ops defensively when disabled.
+Every simulated run records into exactly one tracer (its
+``VirtualMachine.tracer``).  A disabled tracer is a cheap no-op: hot
+paths guard on :attr:`Tracer.enabled` (one attribute read) and every
+method also no-ops defensively when disabled.
 """
 
 from __future__ import annotations

@@ -220,9 +220,9 @@ class SimJob:
         observation = current_observation()
         outcome = runner(self.topology, self.n, **dict(self.kwargs))
         if observation is not None and observation.tracer.enabled:
-            # Simulated-time spans only (no wall-clock wrapper): exported
-            # traces must be bit-identical across identical invocations.
-            observation.ingest_spans(outcome)
+            # The run's spans were recorded live; name its group.
+            group = outcome.runtime.vm.span_group
+            observation.tracer.group_labels[group] = outcome.name
         predicted = outcome.predicted_time
         return SimResult(
             name=outcome.name,

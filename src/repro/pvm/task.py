@@ -113,7 +113,7 @@ class Task:
         """
         vm = self.vm
         engine = vm.engine
-        trace = vm.trace
+        tracing = vm.tracer.enabled
         target = vm.task(dst)
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         if size < 0:
@@ -139,11 +139,8 @@ class Task:
             pack = spec.pack_time(size)
             start = engine.now
             yield from host.cpu.occupy(pack)
-            if trace.enabled:
-                trace.emit(
-                    engine.now, "pack", self.name, engine.now - start,
-                    nbytes=size, dst=dst, local=True,
-                )
+            if tracing:
+                vm.record_span("pack", spec.name, start, nbytes=size, dst=dst, local=True)
             message = Message(self.tid, dst, tag, payload, size, sent_at, engine.now)
             target.mailbox.put(message)
             done = engine.event(name=f"{self.name}.local-send")
@@ -163,8 +160,8 @@ class Task:
         pack = spec.pack_time(size)
         start = engine.now
         yield from host.cpu.occupy(pack)
-        if trace.enabled:
-            trace.emit(engine.now, "pack", self.name, engine.now - start, nbytes=size, dst=dst)
+        if tracing:
+            vm.record_span("pack", spec.name, start, nbytes=size, dst=dst)
 
         # 2. inject through the sender NIC
         inject = size * network.effective_gap(spec.nic_gap) * multiplier
@@ -172,9 +169,9 @@ class Task:
             inject = vm.injector.transfer_time(network.name, engine.now, inject)
         start = engine.now
         yield from host.nic_out.occupy(inject)
-        if trace.enabled:
-            trace.emit(
-                engine.now, "inject", self.name, engine.now - start,
+        if tracing:
+            vm.record_span(
+                "inject", spec.name, start,
                 nbytes=size, dst=dst, network=network.name, level=level,
             )
 
@@ -233,15 +230,15 @@ class Task:
         """
         vm = self.vm
         engine = vm.engine
-        trace = vm.trace
+        tracing = vm.tracer.enabled
         injector = vm.injector
         latency = network.latency
         if injector is not None:
             dropped, extra_delay = injector.message_fate(network.name, engine.now)
             if dropped:
-                if trace.enabled:
-                    trace.emit(
-                        engine.now, "drop", self.name, 0.0,
+                if tracing:
+                    vm.record_span(
+                        "drop", self.host.spec.name, engine.now,
                         dst=target.tid, nbytes=size, attempt=attempt,
                     )
                 if uid is None:
@@ -254,9 +251,9 @@ class Task:
             drain = injector.transfer_time(network.name, engine.now, drain)
         start = engine.now
         yield from target.host.nic_in.occupy(drain)
-        if trace.enabled:
-            trace.emit(
-                engine.now, "drain", target.name, engine.now - start,
+        if tracing:
+            vm.record_span(
+                "drain", target.host.spec.name, start,
                 nbytes=size, src=self.tid, network=network.name,
             )
         if uid is not None:
@@ -302,10 +299,11 @@ class Task:
                     inject = vm.injector.transfer_time(network.name, engine.now, inject)
                 start = engine.now
                 yield from self.host.nic_out.occupy(inject)
-                vm.trace.emit(
-                    engine.now, "inject", self.name, engine.now - start,
-                    nbytes=size, dst=target.tid, network=network.name, retry=attempt,
-                )
+                if vm.tracer.enabled:
+                    vm.record_span(
+                        "inject", self.host.spec.name, start,
+                        nbytes=size, dst=target.tid, network=network.name, retry=attempt,
+                    )
                 arrival = engine.event(name=f"{self.name}->{target.name}#{attempt}")
                 engine.process(
                     self._delivery(target, network, multiplier, size, payload, tag,
@@ -320,10 +318,11 @@ class Task:
                 done.succeed(delivered.value)
                 return
             vm.metrics.inc("repro_send_timeouts_total")
-            vm.trace.emit(
-                engine.now, "timeout", self.name, 0.0,
-                dst=target.tid, nbytes=size, attempt=attempt,
-            )
+            if vm.tracer.enabled:
+                vm.record_span(
+                    "timeout", self.host.spec.name, engine.now,
+                    dst=target.tid, nbytes=size, attempt=attempt,
+                )
         vm.metrics.inc("repro_sends_failed_total")
         done.fail(TimeoutError(
             f"send {self.name} -> {target.name} undelivered after "
@@ -346,14 +345,13 @@ class Task:
             message = yield self.mailbox.get(lambda m: m.matches(source, tag))
         unpack = self.host.spec.unpack_time(message.nbytes)
         if unpack > 0:
-            engine = self.vm.engine
-            start = engine.now
+            vm = self.vm
+            start = vm.engine.now
             yield from self.host.cpu.occupy(unpack)
-            trace = self.vm.trace
-            if trace.enabled:
-                trace.emit(
-                    engine.now, "unpack", self.name,
-                    engine.now - start, nbytes=message.nbytes, src=message.src,
+            if vm.tracer.enabled:
+                vm.record_span(
+                    "unpack", self.host.spec.name, start,
+                    nbytes=message.nbytes, src=message.src,
                 )
         self.received_messages += 1
         self.received_bytes += message.nbytes
@@ -377,12 +375,11 @@ class Task:
         A generator: ``yield from task.compute(...)``.
         """
         duration = self.host.spec.compute_time(work)
-        engine = self.vm.engine
-        start = engine.now
+        vm = self.vm
+        start = vm.engine.now
         yield from self.host.cpu.occupy(duration)
-        trace = self.vm.trace
-        if trace.enabled:
-            trace.emit(engine.now, "compute", self.name, engine.now - start, work=work)
+        if vm.tracer.enabled:
+            vm.record_span("compute", self.host.spec.name, start, work=work)
 
     def sleep(self, duration: float) -> Event:
         """An event that fires after ``duration`` (idle wait, no CPU)."""

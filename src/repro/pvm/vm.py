@@ -14,11 +14,12 @@ from repro.cluster.network import NetworkSpec
 from repro.cluster.topology import ClusterTopology
 from repro.errors import PvmError, TaskNotFound
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observe import current_observation
+from repro.obs.spans import Tracer
 from repro.pvm.delivery import DeliveryPolicy
 from repro.pvm.task import Task
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
-from repro.sim.trace import Trace
 
 __all__ = ["Host", "VirtualMachine"]
 
@@ -58,7 +59,11 @@ class VirtualMachine:
     engine:
         Optionally share an existing simulation engine.
     trace:
-        Enable structured tracing of pack/inject/drain/unpack/compute.
+        Record the run's spans (pack/inject/drain/unpack/compute, plus
+        whatever the layers above record) into a private
+        :attr:`tracer`.  Under ``repro.obs.observe(spans=True)`` the
+        machine records into the observation's tracer instead, whatever
+        this flag says.
     injector:
         Optional fresh :class:`~repro.faults.Injector`; attaches its
         fault plan (time-varying rates, message drops/delays,
@@ -80,7 +85,16 @@ class VirtualMachine:
     ) -> None:
         self.topology = topology
         self.engine = engine if engine is not None else Engine()
-        self.trace = Trace(enabled=trace)
+        # The run's one span stream: every layer on this machine (pvm,
+        # faults, hbsplib, the engine's batch span) records into it,
+        # on the run's group, one track per machine.
+        observation = current_observation()
+        if observation is not None and observation.tracer.enabled:
+            self.tracer = observation.tracer
+            self.span_group = observation.take_group()
+        else:
+            self.tracer = Tracer(enabled=trace)
+            self.span_group = "run"
         #: Per-run metrics (messages/bytes by network, fault counters);
         #: harvested into RunObs records by the observability layer.
         self.metrics = MetricsRegistry()
@@ -159,16 +173,32 @@ class VirtualMachine:
         fault-free superstep timing arithmetically, so every hook that
         observes or perturbs individual message events must be off: no
         fault injector, no delivery policy (even an unarmed one routes
-        through :meth:`run`'s clock-stop semantics), no structured
-        trace, and NIC serialization on (the timeline fold models the
+        through :meth:`run`'s clock-stop semantics), no enabled
+        tracer, and NIC serialization on (the timeline fold models the
         serialized port).
         """
         return (
             self.injector is None
             and self.delivery is None
-            and not self.trace.enabled
+            and not self.tracer.enabled
             and self.serialize_nic
         )
+
+    def record_span(self, category: str, actor: str, start: float, **args: t.Any) -> None:
+        """Record one interval from ``start`` to now on ``actor``'s track.
+
+        The span is parented from the exact ``start``, then stored
+        anchored at its end as ``end - (end - start)`` (an end time
+        plus the measured duration), which may sit an ulp off
+        ``start``; exported timestamps keep exactly the bits the
+        golden trace fixture pins.  Callers guard on ``tracer.enabled``.
+        """
+        end = self.engine.now
+        span = self.tracer.add(
+            category, category, group=self.span_group, actor=actor,
+            start=start, end=end, **args,
+        )
+        span.start = end - (end - start)
 
     def take_uid(self) -> int:
         """Next unique message id (for receiver-side duplicate suppression)."""
@@ -185,15 +215,27 @@ class VirtualMachine:
         when every task has finished instead of when the queue drains —
         background-load hogs and armed retry timers must not inflate
         the measured makespan — and leftover fault processes are killed.
+
+        With tracing on, a completed call records one ``"engine"`` span
+        over the simulated interval it covered, with its event count.
         """
+        engine = self.engine
+        start, before = engine.now, engine.events_processed
         if self.injector is None and self.delivery is None:
-            return self.engine.run(until=until)
-        targets = [t.process for t in self._tasks.values() if t.process is not None]
-        time = self.engine.run_until(targets, until=until)
-        for process in self._fault_processes:
-            process.kill()
-        if self.injector is not None:
-            self.injector.shutdown()
+            time = engine.run(until=until)
+        else:
+            targets = [t.process for t in self._tasks.values() if t.process is not None]
+            time = engine.run_until(targets, until=until)
+            for process in self._fault_processes:
+                process.kill()
+            if self.injector is not None:
+                self.injector.shutdown()
+        processed = engine.events_processed - before
+        if self.tracer.enabled and processed:
+            self.tracer.add(
+                "engine", "event batch", group=self.span_group, actor="engine",
+                start=start, end=time, events=processed,
+            )
         return time
 
     def results(self) -> dict[int, t.Any]:

@@ -92,12 +92,6 @@ class Engine:
         #: Live (started, unfinished) processes, for deadlock reporting.
         self._live_processes: set["Process"] = set()
         self._events_processed = 0
-        #: Optional observability hook (a repro.obs Tracer), set per run
-        #: by the runtime when span tracing is active; each run()/
-        #: run_until() call then records one "engine" span with its
-        #: event-batch size.
-        self.obs_tracer: t.Any | None = None
-        self.obs_group = ""
 
     # -- event plumbing -----------------------------------------------------
     def _grow(self) -> int:
@@ -257,7 +251,6 @@ class Engine:
         free_slot = self._free.append
         pop = heappop
         processed = 0
-        batch_start = self.now
         try:
             while heap:
                 if until is not None and heap[0][0] > until:
@@ -276,7 +269,6 @@ class Engine:
                     obj._process()
         finally:
             self._events_processed += processed
-            self._record_batch(batch_start, processed)
         if until is not None:
             self.now = until
         if check_deadlock and self._live_processes:
@@ -326,7 +318,6 @@ class Engine:
         free_slot = self._free.append
         pop = heappop
         processed = 0
-        batch_start = self.now
         try:
             while heap:
                 if pending == 0:
@@ -347,7 +338,6 @@ class Engine:
                     obj._process()
         finally:
             self._events_processed += processed
-            self._record_batch(batch_start, processed)
         if pending == 0:
             return self.now
         if check_deadlock and self._live_processes:
@@ -357,15 +347,6 @@ class Engine:
                 blocked=blocked,
             )
         return self.now
-
-    def _record_batch(self, start: float, processed: int) -> None:
-        """Emit one "engine" span per run call when observation is on."""
-        tracer = self.obs_tracer
-        if tracer is not None and processed:
-            tracer.add(
-                "engine", "event batch", group=self.obs_group, actor="engine",
-                start=start, end=self.now, events=processed,
-            )
 
     @property
     def events_processed(self) -> int:

@@ -55,10 +55,10 @@ class TestHierarchy:
         small = run_histogram(grid, N, trace=True)
         large = run_histogram(grid, 4 * N, trace=True)
         small_bytes = sum(
-            r.detail["nbytes"] for r in small.result.trace.filter("inject")
+            s.args["nbytes"] for s in small.result.trace.filter("inject")
         )
         large_bytes = sum(
-            r.detail["nbytes"] for r in large.result.trace.filter("inject")
+            s.args["nbytes"] for s in large.result.trace.filter("inject")
         )
         assert small_bytes == large_bytes
         assert large.time > small.time  # compute grew

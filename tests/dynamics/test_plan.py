@@ -106,6 +106,20 @@ class TestSerialisation:
         with pytest.raises(DynamicsError):
             DynamicPlan.from_dict({"faults": []})
 
+    @pytest.mark.parametrize(
+        ("document", "field"),
+        [
+            ({"events": 5}, r'"events" must be a list'),
+            ({"events": "ab"}, r'"events" must be a list'),
+            ({"events": [5]}, r"events\[0\] must be an object"),
+            ({"events": ["ab"]}, r"events\[0\] must be an object"),
+            ({"events": [{"kind": {}}]}, r"events\[0\]: unknown event kind"),
+        ],
+    )
+    def test_malformed_records_raise_typed_errors(self, document, field):
+        with pytest.raises(DynamicsError, match=field):
+            DynamicPlan.from_dict(document)
+
     def test_from_json_rejects_garbage(self):
         with pytest.raises(DynamicsError):
             DynamicPlan.from_json("{not json")

@@ -46,9 +46,9 @@ class TestAttachment:
             topology, N, trace=True,
             faults=straggler_plan(root_machine(topology), factor=2.0),
         )
-        marks = [r for r in outcome.result.trace.records if r.category == "fault"]
+        marks = outcome.result.trace.filter("fault")
         assert len(marks) == 1
-        assert marks[0].detail["kind"] == "machine_slowdown"
+        assert marks[0].args["kind"] == "machine_slowdown"
 
 
 class TestEffects:

@@ -124,6 +124,24 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="bad machine_slowdown"):
             FaultPlan.from_dict({"faults": [{"kind": "machine_slowdown"}]})
 
+    @pytest.mark.parametrize(
+        ("document", "field"),
+        [
+            ({"faults": 5}, r'"faults" must be a list'),
+            ({"faults": "ab"}, r'"faults" must be a list'),
+            ({"faults": [5]}, r"faults\[0\] must be an object"),
+            ({"faults": ["ab"]}, r"faults\[0\] must be an object"),
+            ({"faults": [{"kind": []}]}, r"faults\[0\]: unknown fault kind"),
+            (
+                {"faults": [{"kind": "machine_slowdown", "machine": "m", "factor": 2.0}, {}]},
+                r"faults\[1\]: unknown fault kind",
+            ),
+        ],
+    )
+    def test_malformed_records_raise_typed_errors(self, document, field):
+        with pytest.raises(FaultPlanError, match=field):
+            FaultPlan.from_dict(document)
+
 
 class TestBuilders:
     def test_straggler(self):

@@ -60,8 +60,6 @@ class TestExports:
             "DeliveryPolicy",
             "FaultError",
             "TimeoutError",
-            "Trace",
-            "TraceRecord",
         ):
             assert name in repro.__all__
 

@@ -9,9 +9,12 @@ and cost nothing observable.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.presets import smp_sgi_lan, ucf_testbed
 from repro.collectives import run_gather
 from repro.obs import NULL_TRACER, Tracer, observe
+from repro.perf.job import APP_OPS, COLLECTIVE_OPS, _resolve_runner
 
 
 class TestTracerUnit:
@@ -116,6 +119,14 @@ class TestRunSpans:
         for span in observation.tracer.spans:
             assert 0.0 <= span.start <= span.end <= outcome.time + 1e-12
 
+    def test_run_records_into_the_observation_tracer(self):
+        observation, outcome = self._spans_of(ucf_testbed(4))
+        assert outcome.result.trace is observation.tracer
+        machines = {m.name for m in outcome.runtime.topology.machines}
+        for category in ("pack", "inject", "drain", "unpack"):
+            spans = observation.tracer.filter(category)
+            assert spans and {s.actor for s in spans} <= machines
+
     def test_all_run_spans_share_one_group_with_label(self):
         observation, outcome = self._spans_of(ucf_testbed(4))
         groups = observation.tracer.groups()
@@ -124,14 +135,28 @@ class TestRunSpans:
 
     def test_no_observation_means_no_recording(self):
         outcome = run_gather(ucf_testbed(4), 1024)
-        assert outcome.runtime.obs_tracer is None
-        # The DES trace stays off too (trace=False default untouched).
-        assert outcome.result.trace.records == []
+        # The run's one tracer stays off (trace=False default untouched).
+        assert not outcome.runtime.vm.tracer.enabled
+        assert len(outcome.result.trace) == 0
 
     def test_metrics_only_observation_records_no_spans(self):
         with observe() as observation:
             outcome = run_gather(ucf_testbed(4), 1024)
             observation.ingest_outcome(outcome)
         assert len(observation.tracer) == 0
-        assert outcome.runtime.obs_tracer is None
+        assert not outcome.runtime.vm.tracer.enabled
         assert len(observation.ledgers) == 1  # metrics still flow
+
+
+@pytest.mark.parametrize("machine", [ucf_testbed(4), smp_sgi_lan()], ids=["testbed4", "fig1"])
+@pytest.mark.parametrize("op", COLLECTIVE_OPS + APP_OPS)
+def test_runs_close_every_span_inside_the_makespan(op, machine):
+    """No span is left open, even a superstep a trailing phase opened
+    after the last sync (scan, reduce)."""
+    with observe(spans=True) as observation:
+        outcome = _resolve_runner(op)(machine, 1024)
+    assert len(observation.tracer) > 0
+    for span in observation.tracer:
+        assert span.end is not None, span
+        assert 0.0 <= span.start <= span.end <= outcome.time, span
+

@@ -43,7 +43,7 @@ class TestEmptyPlanIsBitIdentical:
         bare = _run(collective, topology)
         empty = _run(collective, topology, faults=FaultPlan.empty())
         assert empty.time == bare.time  # bit-identical, not approx
-        assert empty.result.trace.records == bare.result.trace.records
+        assert empty.result.trace.spans == bare.result.trace.spans
         assert empty.result.values == bare.result.values
 
     def test_empty_plan_attaches_a_real_injector(self):

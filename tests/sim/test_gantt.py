@@ -1,33 +1,37 @@
 """Tests for the ASCII Gantt renderer."""
 
-from repro.sim import Trace
+from repro.obs import Tracer, gantt
+
+
+def add(tracer, category, actor, start, end):
+    tracer.add(category, category, group="run", actor=actor, start=start, end=end)
 
 
 def make_trace():
-    trace = Trace()
+    tracer = Tracer()
     # actor "a": compute [0, 1], pack [1, 1.5]
-    trace.emit(1.0, "compute", "a", 1.0)
-    trace.emit(1.5, "pack", "a", 0.5)
+    add(tracer, "compute", "a", 0.0, 1.0)
+    add(tracer, "pack", "a", 1.0, 1.5)
     # actor "b": drain [0.5, 2.0]
-    trace.emit(2.0, "drain", "b", 1.5)
-    return trace
+    add(tracer, "drain", "b", 0.5, 2.0)
+    return tracer
 
 
 class TestGantt:
     def test_empty_trace(self):
-        assert "no traced intervals" in Trace().gantt()
+        assert "no traced intervals" in gantt(Tracer())
 
     def test_rows_per_actor(self):
-        out = make_trace().gantt(width=20)
+        out = gantt(make_trace(), width=20)
         lines = out.splitlines()
         assert any(line.strip().startswith("a |") for line in lines)
         assert any(line.strip().startswith("b |") for line in lines)
 
     def test_legend_present(self):
-        assert "legend:" in make_trace().gantt()
+        assert "legend:" in gantt(make_trace())
 
     def test_cells_show_dominant_category(self):
-        out = make_trace().gantt(width=20)
+        out = gantt(make_trace(), width=20)
         row_a = next(l for l in out.splitlines() if l.strip().startswith("a |"))
         cells = row_a.split("|")[1]
         # First half of actor a's row is compute.
@@ -35,27 +39,27 @@ class TestGantt:
         assert "p" in cells
 
     def test_idle_is_dot(self):
-        out = make_trace().gantt(width=20)
+        out = gantt(make_trace(), width=20)
         row_a = next(l for l in out.splitlines() if l.strip().startswith("a |"))
         cells = row_a.split("|")[1]
         assert cells[-1] == "."  # a is idle at the end
 
     def test_actor_filter(self):
-        out = make_trace().gantt(width=20, actors=["a"])
+        out = gantt(make_trace(), width=20, actors=["a"])
         assert " b |" not in out
 
     def test_category_filter(self):
-        out = make_trace().gantt(width=20, categories=("compute",))
+        out = gantt(make_trace(), width=20, categories=("compute",))
         row_a = next(l for l in out.splitlines() if l.strip().startswith("a |"))
         assert "p" not in row_a.split("|")[1]
 
     def test_point_events_ignored(self):
-        trace = Trace()
-        trace.emit(1.0, "compute", "a", 0.0)  # zero duration
-        assert "no traced intervals" in trace.gantt()
+        tracer = Tracer()
+        add(tracer, "compute", "a", 1.0, 1.0)  # zero duration
+        assert "no traced intervals" in gantt(tracer)
 
     def test_row_width_respected(self):
-        out = make_trace().gantt(width=33)
+        out = gantt(make_trace(), width=33)
         row_a = next(l for l in out.splitlines() if l.strip().startswith("a |"))
         assert len(row_a.split("|")[1]) == 33
 
@@ -66,7 +70,7 @@ class TestGantt:
 
         outcome = run_gather(ucf_testbed(5), 100_000, trace=True)
         root = outcome.runtime.fastest_pid
-        root_actor = f"pid{root}@{outcome.runtime.topology.machines[root].name}"
-        out = outcome.result.trace.gantt(width=50, actors=[root_actor])
+        root_machine = outcome.runtime.topology.machines[root].name
+        out = gantt(outcome.result.trace, width=50, actors=[root_machine])
         cells = out.splitlines()[1].split("|")[1]
         assert cells.count("d") > 20
