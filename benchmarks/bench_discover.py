@@ -15,9 +15,9 @@ matrix synthesis, hierarchy inference, topology reconstruction — at
 Both runs assert **exact structural recovery** against the generating
 truth; a timing with the wrong answer is worthless.  ``--check`` gates
 three things: exact recovery at every scale, the 10^4-leaf acceptance
-ceiling (:data:`LARGE_LIMIT_SECONDS`, the ISSUE's "builds + discovers
-under a minute on CI"), and a gross total-seconds regression against
-the committed artifact (wired into ``bench_runner.py --check``).
+ceiling (:data:`LARGE_LIMIT_SECONDS`: build and discover within a
+minute on CI), and a gross total-seconds regression against
+the committed artifact.
 
 ``--quick`` drops the 10^4 scale (CI smoke stays seconds); the
 acceptance ceiling is therefore only exercised by full runs.
@@ -25,16 +25,9 @@ acceptance ceiling is therefore only exercised by full runs.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Acceptance ceiling on the 10^4-leaf generate+synthesize+discover
 #: wall-clock (the ISSUE's CI budget).
@@ -109,7 +102,7 @@ def _bench_scale(label: str, build_kwargs: dict, synth_kwargs: dict,
     return entry
 
 
-def run_discover(quick: bool) -> dict:
+def _run(quick: bool) -> dict:
     """Time generate -> synthesize -> discover per scale; assert recovery."""
     scales = SCALES[:1] if quick else SCALES
     entries = [_bench_scale(*scale) for scale in scales]
@@ -119,93 +112,38 @@ def run_discover(quick: bool) -> dict:
     }
 
 
-def check_discover(
-    artifact: Path, entry: dict, scope: str, compare: bool = True,
-) -> bool:
-    """True when discovery regresses: wrong answer, over budget, or slow.
-
-    ``compare=False`` (the runner detected a machine mismatch) keeps
-    the hard gates but skips the committed-timing comparison.
-    """
-    regressed = False
+def _gates(entry: dict) -> list[Gate]:
+    gates = []
     for label, bench in entry["scales"].items():
-        if not bench["exact_recovery"]:
-            print(f"  discover {label}: exact recovery FAILED -> REGRESSION")
-            regressed = True
-        if bench["leaves"] >= 10_000 and (
-            bench["total_seconds"] > LARGE_LIMIT_SECONDS
-        ):
-            print(f"  discover {label}: {bench['total_seconds']:.2f}s over the "
-                  f"{LARGE_LIMIT_SECONDS:.0f}s acceptance ceiling -> REGRESSION")
-            regressed = True
-    if not compare:
-        print(f"  {artifact.name}: timing comparison refused "
-              "(different machine); hard gates above still apply")
-        return regressed
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the timing gate")
-        return regressed
-    committed = json.loads(artifact.read_text()).get(scope, {}).get("scales", {})
-    for label, bench in entry["scales"].items():
-        baseline = committed.get(label, {}).get("total_seconds")
-        if not baseline:
-            print(f"  committed {artifact.name} has no {scope} scale {label}; "
-                  "skipping its timing gate")
-            continue
-        ratio = bench["total_seconds"] / baseline
-        over = ratio > REGRESSION_LIMIT
-        print(f"  discover {label}: {bench['total_seconds']:.2f}s vs committed "
-              f"{baseline:.2f}s ({ratio:.2f}x) -> "
-              f"{'REGRESSION' if over else 'ok'}")
-        regressed |= over
-    return regressed
+        gates.append(Gate(f"discover {label} exact recovery",
+                          bool(bench["exact_recovery"])))
+        if bench["leaves"] >= 10_000:
+            gates.append(Gate(f"discover {label} total seconds",
+                              bench["total_seconds"], "<=", LARGE_LIMIT_SECONDS))
+    return gates
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (drops the 10^4-leaf scale)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on wrong recovery, a blown acceptance "
-                        "ceiling, or a >3x timing regression")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_discover.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-
-    print("hierarchy discovery (generate -> synthesize -> discover):")
-    entry = run_discover(args.quick)
-    scope = "quick" if args.quick else "full"
-    path = args.output_dir / "BENCH_discover.json"
-    if args.check:
-        return 1 if check_discover(path, entry, scope) else 0
-
-    doc = {
-        "benchmark": "repro.cluster.discover round-trip wall-clock",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "1k = fat_tree(4,16,16), float64 matrix with gap columns, "
-            "scipy linkage; 10k = fat_tree(25,25,16), latency-only "
-            "float32 matrix, banded components; both assert exact "
-            "structural recovery against the generating truth"
-        ),
-        scope: entry,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_discover.json",
+    heading="hierarchy discovery (generate -> synthesize -> discover):",
+    benchmark="repro.cluster.discover round-trip wall-clock",
+    note=(
+        "1k = fat_tree(4,16,16), float64 matrix with gap columns, "
+        "scipy linkage; 10k = fat_tree(25,25,16), latency-only "
+        "float32 matrix, banded components; both assert exact "
+        "structural recovery against the generating truth"
+    ),
+    run=_run,
+    gates=_gates,
+    timings=lambda scope: {
+        f"discover {label}": bench.get("total_seconds")
+        for label, bench in scope.get("scales", {}).items()
+    },
+    regression_limit=REGRESSION_LIMIT,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

@@ -26,17 +26,10 @@ amortise against — but keeps every deterministic gate.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Churned-session wall-clock overhead vs the static session (both on
 #: prewarmed cost models).
@@ -111,7 +104,7 @@ def _perturbed_campaign(topology, replicas: int):
     return out
 
 
-def run_dynamics(quick: bool) -> dict:
+def _run(quick: bool) -> dict:
     """Time churned vs static serving and the calibration fit."""
     from repro.calib import calibration_campaign, fit_params
     from repro.cluster import two_lans
@@ -210,109 +203,37 @@ def run_dynamics(quick: bool) -> dict:
     }
 
 
-def check_dynamics(
-    artifact: Path, entry: dict, scope: str, compare: bool = True,
-) -> bool:
-    """True when dynamics regresses: churn overhead past the limit, a
-    blown fit ceiling, a broken deterministic gate, or a gross
-    wall-clock slowdown vs the committed artifact.
-
-    ``compare=False`` (machine mismatch) keeps the deterministic gates
-    and the two ratio/ceiling gates (host-local timings) and skips only
-    the artifact comparison.
-    """
-    regressed = False
-
-    limit = entry["churn_overhead_limit"]
-    lean = entry["churn_overhead"] < limit
-    print(f"  churn overhead: {100 * entry['churn_overhead']:+.1f}% vs "
-          f"static (limit {100 * limit:.0f}%) -> "
-          f"{'ok' if lean else 'REGRESSION'}")
-    regressed |= not lean
-
-    fast = entry["fit_seconds"] <= entry["fit_ceiling_seconds"]
-    print(f"  calibration fit: {entry['fit_seconds']:.3f}s over "
-          f"{entry['fit_runs']} runs (ceiling "
-          f"{entry['fit_ceiling_seconds']:.0f}s) -> "
-          f"{'ok' if fast else 'REGRESSION'}")
-    regressed |= not fast
-
-    for gate in ("empty_plan_identical", "churn_conserves_requests",
-                 "fit_round_trip_exact"):
-        ok = bool(entry[gate])
-        print(f"  {gate.replace('_', ' ')}: -> "
-              f"{'ok' if ok else 'REGRESSION'}")
-        regressed |= not ok
-
-    if not compare:
-        print(f"  {artifact.name}: timing comparison refused "
-              "(different machine); gates above still apply")
-        return regressed
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the timing gate")
-        return regressed
-    baseline = (
-        json.loads(artifact.read_text()).get(scope, {}).get("dynamic_seconds")
-    )
-    if not baseline:
-        print(f"  committed {artifact.name} has no {scope}.dynamic_seconds; "
-              "skipping its timing gate")
-        return regressed
-    ratio = entry["dynamic_seconds"] / baseline
-    over = ratio > REGRESSION_LIMIT
-    print(f"  churned session: {entry['dynamic_seconds']:.3f}s vs committed "
-          f"{baseline:.3f}s ({ratio:.2f}x) -> "
-          f"{'REGRESSION' if over else 'ok'}")
-    regressed |= over
-    return regressed
+def _gates(entry: dict) -> list[Gate]:
+    return [
+        Gate("churn overhead vs static", entry["churn_overhead"], "<",
+             entry["churn_overhead_limit"]),
+        Gate(f"calibration fit seconds over {entry['fit_runs']} runs",
+             entry["fit_seconds"], "<=", entry["fit_ceiling_seconds"]),
+        *(Gate(gate.replace("_", " "), bool(entry[gate]))
+          for gate in ("empty_plan_identical", "churn_conserves_requests",
+                       "fit_round_trip_exact")),
+    ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (short session, fewer replicas)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on blown churn overhead, fit ceiling, "
-                        "or a broken deterministic gate")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_dynamics.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-
-    print("dynamic clusters (churn overhead, calibration fit):")
-    entry = run_dynamics(args.quick)
-    scope = "quick" if args.quick else "full"
-    path = args.output_dir / "BENCH_dynamics.json"
-    if args.check:
-        return 1 if check_dynamics(path, entry, scope) else 0
-
-    doc = {
-        "benchmark": "dynamic clusters: churn overhead and calibration fit",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "static/dynamic sessions share prewarmed cost models so "
-            "churn_overhead isolates the dynamics machinery; fit_seconds "
-            "times one fit_params call at the acceptance operating "
-            "point; the three boolean gates are deterministic on any "
-            "host"
-        ),
-        scope: entry,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_dynamics.json",
+    heading="dynamic clusters (churn overhead, calibration fit):",
+    benchmark="dynamic clusters: churn overhead and calibration fit",
+    note=(
+        "static/dynamic sessions share prewarmed cost models so "
+        "churn_overhead isolates the dynamics machinery; fit_seconds "
+        "times one fit_params call at the acceptance operating "
+        "point; the three boolean gates are deterministic on any "
+        "host"
+    ),
+    run=_run,
+    gates=_gates,
+    timings=lambda scope: {"churned session": scope.get("dynamic_seconds")},
+    regression_limit=REGRESSION_LIMIT,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

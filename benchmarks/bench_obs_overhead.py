@@ -22,23 +22,15 @@ wall times flaps by ±10%.  The end-to-end metrics/spans timings are
 recorded alongside for honesty, and all three paths must render
 byte-identical reports.
 
-``--quick`` trims repetitions for CI; ``--check`` exits non-zero when
-the gated overhead exceeds the budget (wired into the bench job in
-``.github/workflows/ci.yml`` via ``bench_runner.py --check``).
+``--quick`` trims repetitions for CI (best of 3 instead of 5);
+``--check`` exits non-zero when the gated overhead exceeds the budget.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Gated ceiling on the metrics-ingestion cost relative to the obs-off
 #: wall-clock.  The disabled path runs a strict subset of the metrics
@@ -64,12 +56,13 @@ def _best_of(fn, reps: int) -> tuple[float, object]:
     return best, result
 
 
-def run_overhead(quick: bool, reps: int) -> dict:
+def _run(quick: bool) -> dict:
     """Time the experiment subset off / metrics-on / spans-on."""
     from repro.experiments import run_experiment
     from repro.obs import Observation, observe
 
     experiments = QUICK_EXPERIMENTS if quick else FULL_EXPERIMENTS
+    reps = 3 if quick else 5
 
     def off():
         return [run_experiment(e).render() for e in experiments]
@@ -131,63 +124,25 @@ def run_overhead(quick: bool, reps: int) -> dict:
     return entry
 
 
-def check_overhead(entry: dict) -> bool:
-    """True when the gated overhead regresses past the budget."""
-    over = entry["metrics_overhead"] > OVERHEAD_BUDGET
-    print(f"  obs overhead (metrics ingestion / off wall): "
-          f"{entry['metrics_overhead'] * 100:+.1f}% "
-          f"(budget {OVERHEAD_BUDGET * 100:.0f}%) -> "
-          f"{'REGRESSION' if over else 'ok'}")
-    return over
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (reduced subset, fewer repeats)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail when the gated overhead exceeds the budget")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="timing repetitions (best-of; default 5, quick 3)")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_obs.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-    reps = args.reps if args.reps is not None else (3 if args.quick else 5)
-
-    print("observability overhead (off vs metrics vs spans):")
-    entry = run_overhead(args.quick, reps)
-    if args.check:
-        return 1 if check_overhead(entry) else 0
-
-    scope = "quick" if args.quick else "full"
-    doc = {
-        "benchmark": "repro.obs overhead on in-process experiment runs",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "off = no active observation (the default path); metrics = "
-            "observe(); spans = observe(spans=True), which turns every "
-            "run's tracer on and is recorded unguarded; all three must "
-            "render byte-identical reports"
-        ),
-        scope: entry,
-    }
-    path = args.output_dir / "BENCH_obs.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_obs.json",
+    heading="observability overhead (off vs metrics vs spans):",
+    benchmark="repro.obs overhead on in-process experiment runs",
+    note=(
+        "off = no active observation (the default path); metrics = "
+        "observe(); spans = observe(spans=True), which turns every "
+        "run's tracer on and is recorded unguarded; all three must "
+        "render byte-identical reports"
+    ),
+    run=_run,
+    gates=lambda entry: [
+        Gate("obs overhead (metrics ingestion / off wall)",
+             entry["metrics_overhead"], "<=", OVERHEAD_BUDGET),
+    ],
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

@@ -1,88 +1,49 @@
 """Standalone benchmark harness: ``python benchmarks/bench_runner.py``.
 
-Emits two machine-readable artifacts next to this file's repo root:
+One registry of benches, each a :class:`Bench` record that declares
+its artifact, how to run it, and its gates as data.  The runner is one
+loop over the registry: run a bench, evaluate its gates, compare its
+timings against the committed artifact, write the artifact.
 
-``BENCH_substrate.json``
-    Microbenchmarks of the simulation substrate (event churn, resource
-    contention, mailbox churn, one full collective) — the single-core
-    hot paths the ``repro.perf`` work optimised.
+Artifacts (one ``BENCH_<name>.json`` per bench, in registry order):
 
-``BENCH_sweep.json``
-    Wall-clock of the full experiment sweep (``python -m
-    repro.experiments all``), serial and parallel, against the recorded
-    pre-optimisation seed baseline — plus a cold/warm pair against a
-    fresh persistent cache (the warm run must not be slower, and its
-    output must be byte-identical).
+``substrate``  microbenchmarks of the simulation substrate (event churn,
+               resource contention, mailbox churn, one collective).
+``kernels``    scalar ``predict_*`` loop vs one vectorized kernel
+               evaluation of the same grid; gates the speedup floor.
+``obs``        observability overhead (``bench_obs_overhead.py``).
+``discover``   hierarchy-discovery round trip (``bench_discover.py``).
+``scale``      macro-event vs object-event engine (``bench_scale.py``).
+``tuning``     schedule auto-tuner (``bench_tuning.py``).
+``serve``      open-loop serving layer (``bench_serve.py``).
+``dynamics``   churn overhead and calibration fit (``bench_dynamics.py``).
+``sweep``      wall-clock of ``python -m repro.experiments all``, serial
+               and parallel, plus a cold/warm pair against a fresh
+               persistent cache (warm must not be slower, and its output
+               must be byte-identical).
 
-``BENCH_kernels.json``
-    Scalar ``predict_*`` loop vs one vectorized
-    ``repro.model.kernels`` evaluation over the same grid (the ledgers
-    are bit-identical; only the wall-clock differs).
+Each artifact holds ``benchmark``, ``machine`` (host CPU count, python,
+platform), an optional ``note``, and one entry per scope: ``--quick``
+results land under ``"quick"`` and full runs under ``"full"``, and a
+write keeps the other scope already in the file.
 
-``BENCH_obs.json``
-    Observability overhead (``benchmarks/bench_obs_overhead.py``):
-    in-process experiment runs with observation off vs metrics-on vs
-    spans-on.  ``--check`` gates the metrics-on overhead under 3%.
+``--check`` evaluates every gate, then compares each bench's timings
+with the committed repo-root artifact and fails on a slowdown past the
+bench's regression limit (default 25%).  That comparison is refused,
+once per artifact, when the committed file was recorded on a different
+machine (``cpu_count`` or python major.minor differ): cross-host
+wall-clock ratios are noise.  The gates still apply.  With ``--check``
+nothing is written unless ``--output-dir`` is given.
 
-``BENCH_discover.json``
-    Hierarchy-discovery round-trip (``benchmarks/bench_discover.py``):
-    generate + synthesize + discover wall-clock at 10^3 and 10^4
-    leaves.  ``--check`` gates exact recovery, the 10^4-leaf 60 s
-    acceptance ceiling, and a gross timing regression.
-
-``BENCH_scale.json``
-    Macro-event superstep engine (``benchmarks/bench_scale.py``):
-    10^3- and 10^4-leaf collectives, macro vs object path.  ``--check``
-    gates bit-identical dual-path results, the 10x macro speedup floor
-    on the send-heavy 10^3 broadcast, and the 10^4 completion ceiling.
-
-``BENCH_tuning.json``
-    Schedule auto-tuner (``benchmarks/bench_tuning.py``): cold-tune
-    cost vs warm decision-cache lookup, and tuned-vs-default simulated
-    makespans at 10^2-10^4 leaves.  ``--check`` gates the warm-lookup
-    speedup floor, tuned never slower than default, and the expected
-    >=10% win on the latency-dominated broadcast scenario.
-
-``BENCH_serve.json``
-    Open-loop serving layer (``benchmarks/bench_serve.py``): the
-    goodput-vs-offered-load curve, simulated p99 at the reference
-    rate, and cold-session wall-clock vs a raw ``evaluate()`` of the
-    same kernel-job universe.  ``--check`` gates the p99 ceiling,
-    goodput monotone up to the knee, and service overhead under 5%.
-
-``BENCH_dynamics.json``
-    Dynamic clusters (``benchmarks/bench_dynamics.py``): churned-vs-
-    static session wall-clock on shared prewarmed cost models, and one
-    ``fit_params`` call at the calibration acceptance operating point.
-    ``--check`` gates churn overhead under 10%, the fit wall-time
-    ceiling, and three deterministic gates (empty plan bit-identical,
-    request conservation under churn, exact noise-free round-trip).
-
-Modes:
-
-``--quick``
-    CI-sized run: fewer iterations and a reduced experiment subset;
-    results land under a ``"quick"`` key so they are never compared
-    against full-run numbers.
-``--check``
-    Compare against the committed artifacts and exit non-zero on a
-    >25% wall-clock regression (the CI gate).  Timing comparisons are
-    refused — skipped with a message, leaving only the absolute gates
-    (speedup floors, equivalence, ceilings) — when the committed
-    artifact was recorded on a different machine (``cpu_count`` or
-    python major.minor differ): cross-host wall-clock ratios are
-    noise, not signal.
-
-Timings use the median of ``--runs`` subprocess invocations; the
-committed artifacts also record the host CPU count, because parallel
-speedups are meaningless without it (a 1-CPU container *loses* time
-at ``--jobs 4`` to pool overhead, and the JSON says so).
+A bench module runs on its own with the same options:
+``python benchmarks/bench_scale.py [--quick] [--check] [--output-dir D]``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import statistics
@@ -90,6 +51,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import typing as t
+from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,16 +65,71 @@ SEED_BASELINE_SECONDS = 5.918
 #: Reduced experiment subset for ``--quick`` (CI smoke).
 QUICK_EXPERIMENTS = ["fig3a", "fig4a", "model-vs-sim"]
 
-#: Regression gate: fail ``--check`` beyond this slowdown factor.
+#: Default regression limit: ``--check`` fails beyond this slowdown.
 REGRESSION_LIMIT = 1.25
 
 #: Minimum vectorized-vs-scalar speedup ``--check`` accepts.
 KERNEL_SPEEDUP_FLOOR = 5.0
 
 #: A warm-cache run may exceed the cold run by at most this factor
-#: before ``--check`` fails (small head-room for timer noise; the real
-#: expectation is warm << cold).
+#: (small head-room for timer noise; the real expectation is warm <<
+#: cold).
 WARM_CACHE_LIMIT = 1.05
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One pass/fail check on a fresh entry: ``value <op> bound``.
+
+    A floor uses ``>=`` or ``>``, a ceiling ``<=`` or ``<``; the
+    defaults make a boolean gate (``value == True``).
+    """
+
+    label: str
+    value: float | bool
+    op: str = "=="
+    bound: float | bool = True
+
+    @property
+    def ok(self) -> bool:
+        return _OPS[self.op](self.value, self.bound)
+
+    def __str__(self) -> str:
+        if self.op == "==":
+            return f"{self.label}: {self.value}"
+        return f"{self.label}: {self.value:.4g} {self.op} {self.bound:.4g}"
+
+
+def _no_gates(entry: t.Any) -> list[Gate]:
+    return []
+
+
+def _no_timings(scope: dict) -> dict[str, float | None]:
+    return {}
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One benchmark: what it runs, how it is gated, where it is written.
+
+    ``run(quick)`` returns the scope entry.  ``gates(entry)`` declares
+    the pass/fail checks on it.  ``timings(scope)`` maps labels to
+    seconds; it is applied to the fresh entry and to the committed
+    artifact's scope, and each label's ratio is gated at
+    ``regression_limit``.
+    """
+
+    artifact: str
+    heading: str
+    benchmark: str
+    note: str | None
+    run: t.Callable[[bool], t.Any]
+    gates: t.Callable[[t.Any], list[Gate]] = _no_gates
+    timings: t.Callable[[dict], dict[str, float | None]] = _no_timings
+    regression_limit: float = REGRESSION_LIMIT
 
 
 # -- substrate microbenchmarks -------------------------------------------------
@@ -206,21 +224,23 @@ def _bench_gather_collective(n: int) -> dict:
     }
 
 
-def run_substrate(quick: bool, repeats: int) -> list[dict]:
+def run_substrate(quick: bool) -> dict:
     scale = 1 if quick else 4
+    repeats = 1 if quick else 3
     benches = [
         lambda: _bench_timeout_churn(10_000 * scale),
         lambda: _bench_resource_contention(20, 100 * scale),
         lambda: _bench_store_churn(10, 200 * scale),
         lambda: _bench_gather_collective(25_600 * scale),
     ]
-    results = []
+    results = {}
     for bench in benches:
         rounds = [bench() for _ in range(repeats)]
         best = min(rounds, key=lambda r: r["seconds"])
         best["repeats"] = repeats
-        results.append(best)
-        print(f"  {best['name']:22s} {best['seconds']*1e3:8.1f} ms"
+        name = best.pop("name")
+        results[name] = best
+        print(f"  {name:22s} {best['seconds']*1e3:8.1f} ms"
               + (f"  ({best['events_per_second']:,.0f} events/s)"
                  if "events_per_second" in best else ""))
     return results
@@ -260,6 +280,7 @@ def _time_sweep(
 
 
 def run_sweep(quick: bool, runs: int, parallel_jobs: int) -> dict:
+    """Serial and parallel sweep timings, then the cold/warm cache pair."""
     experiments = QUICK_EXPERIMENTS if quick else ["all"]
     label = " ".join(experiments)
     print(f"  timing: python -m repro.experiments {label}  (x{runs})")
@@ -281,31 +302,35 @@ def run_sweep(quick: bool, runs: int, parallel_jobs: int) -> dict:
         entry["speedup_vs_seed"] = round(
             SEED_BASELINE_SECONDS / entry["serial_seconds"], 2
         )
-    return entry
-
-
-def run_cache(quick: bool) -> dict:
-    """Cold vs warm sweep against a fresh persistent cache."""
-    experiments = QUICK_EXPERIMENTS if quick else ["all"]
+    print("  persistent cache (cold vs warm, fresh --cache-dir):")
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cold, cold_out = _time_sweep(experiments, 1, 1, ("--cache-dir", tmp))
         warm, warm_out = _time_sweep(experiments, 1, 1, ("--cache-dir", tmp))
-    entry = {
-        "experiments": " ".join(experiments),
+    cache = entry["cache"] = {
+        "experiments": label,
         "cold_seconds": round(cold[0], 3),
         "warm_seconds": round(warm[0], 3),
         "warm_over_cold": round(warm[0] / cold[0], 2),
         "outputs_identical": cold_out[0] == warm_out[0],
     }
-    print(f"    cold: {entry['cold_seconds']:.3f}s  "
-          f"warm: {entry['warm_seconds']:.3f}s  "
-          f"({entry['warm_over_cold']:.2f}x, outputs identical: "
-          f"{entry['outputs_identical']})")
+    print(f"    cold: {cache['cold_seconds']:.3f}s  "
+          f"warm: {cache['warm_seconds']:.3f}s  "
+          f"({cache['warm_over_cold']:.2f}x, outputs identical: "
+          f"{cache['outputs_identical']})")
     return entry
 
 
+def _sweep_gates(entry: dict) -> list[Gate]:
+    cache = entry["cache"]
+    return [
+        Gate("warm cache seconds", cache["warm_seconds"], "<=",
+             cache["cold_seconds"] * WARM_CACHE_LIMIT),
+        Gate("warm cache output identical to cold", cache["outputs_identical"]),
+    ]
+
+
 # -- analytic kernels ----------------------------------------------------------
-def run_kernels(quick: bool, repeats: int) -> dict:
+def run_kernels(quick: bool) -> dict:
     """Scalar ``predict_*`` loop vs one vectorized kernel evaluation.
 
     Both paths produce the exact same ledger totals (asserted here);
@@ -321,6 +346,7 @@ def run_kernels(quick: bool, repeats: int) -> dict:
     params = calibrate(ucf_testbed(10))
     sizes = [1_000, 16_000, 128_000, 1_000_000]
     copies = 8 if quick else 64
+    repeats = 1 if quick else 3
     points = [
         (n, root) for _ in range(copies) for n in sizes for root in range(params.p)
     ]
@@ -370,8 +396,71 @@ def run_kernels(quick: bool, repeats: int) -> dict:
     return entry
 
 
-# -- artifacts -----------------------------------------------------------------
-def _machine_info() -> dict:
+def _kernel_gates(entry: dict) -> list[Gate]:
+    return [
+        Gate(f"kernel {name} speedup", bench["speedup"], ">=", KERNEL_SPEEDUP_FLOOR)
+        for name, bench in entry.items()
+    ]
+
+
+SUBSTRATE = Bench(
+    artifact="BENCH_substrate.json",
+    heading="substrate microbenchmarks:",
+    benchmark="repro.sim substrate microbenchmarks",
+    note=None,
+    run=run_substrate,
+)
+
+KERNELS = Bench(
+    artifact="BENCH_kernels.json",
+    heading="analytic kernels (scalar loop vs vectorized):",
+    benchmark="repro.model.kernels vs scalar predict_*",
+    note=(
+        "identical grids, bit-identical totals (asserted during the "
+        "run); the speedup is pure vectorization"
+    ),
+    run=run_kernels,
+    gates=_kernel_gates,
+)
+
+
+def sweep_bench(runs: int = 3, jobs: int = 4) -> Bench:
+    """The sweep bench; ``runs`` only applies to full runs (quick runs once)."""
+    return Bench(
+        artifact="BENCH_sweep.json",
+        heading="experiment sweep:",
+        benchmark="python -m repro.experiments wall-clock",
+        note=(
+            "the CLI clamps --jobs to the host's cores (serially on a "
+            "1-CPU host), so the parallel timing matches serial there; "
+            "the headline speedup is serial vs the recorded seed "
+            "baseline; serial/parallel timings use --no-cache (the "
+            "'cache' block times the persistent cache separately)"
+        ),
+        run=lambda quick: run_sweep(quick, 1 if quick else runs, jobs),
+        gates=_sweep_gates,
+        timings=lambda scope: {"sweep serial": scope.get("serial_seconds")},
+    )
+
+
+def registry(runs: int = 3, jobs: int = 4) -> list[Bench]:
+    """Every bench, in the order the runner executes them."""
+    import bench_discover
+    import bench_dynamics
+    import bench_obs_overhead
+    import bench_scale
+    import bench_serve
+    import bench_tuning
+
+    return [
+        SUBSTRATE, KERNELS, bench_obs_overhead.BENCH, bench_discover.BENCH,
+        bench_scale.BENCH, bench_tuning.BENCH, bench_serve.BENCH,
+        bench_dynamics.BENCH, sweep_bench(runs, jobs),
+    ]
+
+
+# -- the loop ------------------------------------------------------------------
+def machine_info() -> dict:
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
@@ -379,22 +468,13 @@ def _machine_info() -> dict:
     }
 
 
-def machine_mismatch(artifact: Path) -> str | None:
-    """Why ``artifact``'s committed timings are not comparable here.
-
-    Returns a human-readable reason when the committed machine block
-    differs from this host in ``cpu_count`` or python major.minor, and
-    ``None`` when the artifact is missing or comparable.  Patch
-    versions are ignored: they don't move wall-clock, and CI images
-    bump them constantly.
-    """
-    if not artifact.exists():
-        return None
-    committed = json.loads(artifact.read_text()).get("machine", {})
-    current = _machine_info()
+def _other_host(committed: dict) -> str | None:
+    """Why timings recorded on ``committed`` (a machine block) are not
+    comparable here, or ``None``.  Python patch versions are ignored:
+    they don't move wall-clock, and CI images bump them constantly."""
+    current = machine_info()
     if committed.get("cpu_count") != current["cpu_count"]:
-        return (f"cpu_count {committed.get('cpu_count')} != "
-                f"{current['cpu_count']}")
+        return f"cpu_count {committed.get('cpu_count')} != {current['cpu_count']}"
     theirs = str(committed.get("python", "")).split(".")[:2]
     ours = current["python"].split(".")[:2]
     if theirs != ours:
@@ -402,30 +482,82 @@ def machine_mismatch(artifact: Path) -> str | None:
     return None
 
 
-def check_regression(artifact: Path, current: float, key: str, scope: str) -> bool:
-    """True if ``current`` regresses >25% against the committed number."""
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the gate")
-        return False
-    mismatch = machine_mismatch(artifact)
-    if mismatch:
-        print(f"  {artifact.name}: committed on a different machine "
-              f"({mismatch}); refusing the timing comparison")
-        return False
-    committed = json.loads(artifact.read_text())
-    baseline = committed.get(scope, {}).get(key)
-    if not baseline:
-        print(f"  committed {artifact.name} has no {scope}.{key}; "
-              "skipping the gate")
-        return False
-    ratio = current / baseline
-    verdict = "REGRESSION" if ratio > REGRESSION_LIMIT else "ok"
-    print(f"  {key}: {current:.3f}s vs committed {baseline:.3f}s "
-          f"({ratio:.2f}x) -> {verdict}")
-    return ratio > REGRESSION_LIMIT
+def check(bench: Bench, entry: t.Any, scope: str, baseline: Path) -> bool:
+    """Print every gate's verdict and every timing comparison against
+    the committed ``baseline`` artifact; True when anything regressed."""
+    regressed = False
+    for gate in bench.gates(entry):
+        print(f"  {gate} -> {'ok' if gate.ok else 'REGRESSION'}")
+        regressed |= not gate.ok
+    timings = bench.timings(entry)
+    if not timings:
+        return regressed
+    if not baseline.exists():
+        print(f"  no committed {baseline.name}; skipping the timing comparison")
+        return regressed
+    committed = json.loads(baseline.read_text())
+    reason = _other_host(committed.get("machine", {}))
+    if reason:
+        print(f"  {baseline.name}: committed on a different machine "
+              f"({reason}); refusing the timing comparison")
+        return regressed
+    before = bench.timings(committed.get(scope, {}))
+    limit = bench.regression_limit
+    for label, seconds in timings.items():
+        base = before.get(label)
+        if not base:
+            print(f"  committed {baseline.name} has no {scope} {label}; skipping")
+            continue
+        ratio = seconds / base
+        over = ratio > limit
+        print(f"  {label}: {seconds:.3f}s vs committed {base:.3f}s "
+              f"({ratio:.2f}x, limit {limit:.2f}x) -> "
+              f"{'REGRESSION' if over else 'ok'}")
+        regressed |= over
+    return regressed
 
 
-def main(argv: list[str] | None = None) -> int:
+def write(bench: Bench, entry: t.Any, scope: str, output_dir: Path) -> None:
+    """Write ``bench``'s artifact, keeping the other scope already there."""
+    doc = {"benchmark": bench.benchmark, "machine": machine_info()}
+    if bench.note is not None:
+        doc["note"] = bench.note
+    doc[scope] = entry
+    path = output_dir / bench.artifact
+    if path.exists():
+        previous = json.loads(path.read_text())
+        for key in ("full", "quick"):
+            if key in previous and key not in doc:
+                doc[key] = previous[key]
+    output_dir.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
+def run_suite(
+    benches: t.Iterable[Bench],
+    *,
+    quick: bool,
+    check_gates: bool,
+    output_dir: Path | None,
+    baseline_dir: Path = REPO_ROOT,
+) -> int:
+    """Run, gate and write each bench; 1 when ``check_gates`` found a
+    regression, else 0.  Nothing is written when ``output_dir`` is None."""
+    scope = "quick" if quick else "full"
+    regressed = False
+    for bench in benches:
+        print(bench.heading)
+        entry = bench.run(quick)
+        if check_gates:
+            regressed |= check(bench, entry, scope, baseline_dir / bench.artifact)
+        if output_dir is not None:
+            write(bench, entry, scope, output_dir)
+    return 1 if regressed else 0
+
+
+def main(argv: list[str] | None = None, benches: list[Bench] | None = None) -> int:
+    """CLI entry point; ``benches`` narrows the run (default: the registry)."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized run (reduced subset, fewer repeats)")
@@ -435,207 +567,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="sweep timing repetitions (median is reported)")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker count for the parallel sweep timing")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write the BENCH_*.json artifacts")
+    parser.add_argument("--output-dir", type=Path, default=None,
+                        help="where to write the BENCH_*.json artifacts "
+                        "(default: the repo root; with --check, only when given)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(SRC))
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    import bench_discover
-    import bench_dynamics
-    import bench_obs_overhead
-    import bench_scale
-    import bench_serve
-    import bench_tuning
-
-    repeats = 1 if args.quick else 3
-    runs = 1 if args.quick else args.runs
-
-    print("substrate microbenchmarks:")
-    substrate = run_substrate(args.quick, repeats)
-    print("analytic kernels (scalar loop vs vectorized):")
-    kernels_entry = run_kernels(args.quick, repeats)
-    print("observability overhead (off vs metrics vs spans):")
-    obs_entry = bench_obs_overhead.run_overhead(args.quick, 3 if args.quick else 5)
-    print("hierarchy discovery (generate -> synthesize -> discover):")
-    discover_entry = bench_discover.run_discover(args.quick)
-    print("macro-event scale (10^3/10^4-leaf collectives):")
-    scale_entry = bench_scale.run_scale(args.quick)
-    print("auto-tuned schedules (cold tune, warm lookup, tuned vs default):")
-    tuning_entry = bench_tuning.run_tuning(args.quick)
-    print("open-loop serving (goodput curve, reference p99, overhead):")
-    serve_entry = bench_serve.run_serve(args.quick)
-    print("dynamic clusters (churn overhead, calibration fit):")
-    dynamics_entry = bench_dynamics.run_dynamics(args.quick)
-    print("experiment sweep:")
-    sweep_entry = run_sweep(args.quick, runs, args.jobs)
-    print("  persistent cache (cold vs warm, fresh --cache-dir):")
-    sweep_entry["cache"] = run_cache(args.quick)
-
-    scope = "quick" if args.quick else "full"
-    machine = _machine_info()
-    substrate_doc = {
-        "benchmark": "repro.sim substrate microbenchmarks",
-        "machine": machine,
-        scope: {bench.pop("name"): bench for bench in substrate},
-    }
-    sweep_doc = {
-        "benchmark": "python -m repro.experiments wall-clock",
-        "machine": machine,
-        "note": (
-            "the CLI clamps --jobs to the host's cores (serially on a "
-            "1-CPU host), so the parallel timing matches serial there; "
-            "the headline speedup is serial vs the recorded seed "
-            "baseline; serial/parallel timings use --no-cache (the "
-            "'cache' block times the persistent cache separately)"
-        ),
-        scope: sweep_entry,
-    }
-    kernels_doc = {
-        "benchmark": "repro.model.kernels vs scalar predict_*",
-        "machine": machine,
-        "note": (
-            "identical grids, bit-identical totals (asserted during the "
-            "run); the speedup is pure vectorization"
-        ),
-        scope: kernels_entry,
-    }
-    obs_doc = {
-        "benchmark": "repro.obs overhead on in-process experiment runs",
-        "machine": machine,
-        "note": (
-            "off = no active observation (the default path); metrics = "
-            "observe(); spans = observe(spans=True), which turns every "
-            "run's tracer on and is recorded unguarded; all three must "
-            "render byte-identical reports"
-        ),
-        scope: obs_entry,
-    }
-    discover_doc = {
-        "benchmark": "repro.cluster.discover round-trip wall-clock",
-        "machine": machine,
-        "note": (
-            "1k = fat_tree(4,16,16), float64 matrix with gap columns, "
-            "scipy linkage; 10k = fat_tree(25,25,16), latency-only "
-            "float32 matrix, banded components; both assert exact "
-            "structural recovery against the generating truth"
-        ),
-        scope: discover_entry,
-    }
-    scale_doc = {
-        "benchmark": "macro-event vs object-event collective wall-clock",
-        "machine": machine,
-        "note": (
-            "1k dual-path scales assert bit-identical simulated time, "
-            "values, and superstep marks before timing; 10k scales run "
-            "the macro path only; macro_seconds is the best of the "
-            "repeats, object_seconds a single run"
-        ),
-        scope: scale_entry,
-    }
-    tuning_doc = {
-        "benchmark": "schedule auto-tuning cost and wins",
-        "machine": machine,
-        "note": (
-            "cold_seconds = full tune (enumerate + vectorized pricing + "
-            "DES-validated shortlist) into a fresh cache; warm_seconds = "
-            "best of 5 decision-cache resolutions with the in-memory "
-            "memo dropped; tuned can never be slower than default "
-            "because the default plan is always in the validated "
-            "shortlist"
-        ),
-        scope: tuning_entry,
-    }
-    serve_doc = {
-        "benchmark": "open-loop serving goodput, tail latency, overhead",
-        "machine": machine,
-        "note": (
-            "curve/goodput/p99 are simulated (deterministic per seed); "
-            "session_seconds is the cold session wall-clock (kernel-cost "
-            "prewarm + service loop), raw_universe_seconds the bare "
-            "evaluate() of the same job universe; their ratio is the "
-            "service overhead"
-        ),
-        scope: serve_entry,
-    }
-    dynamics_doc = {
-        "benchmark": "dynamic clusters: churn overhead and calibration fit",
-        "machine": machine,
-        "note": (
-            "static/dynamic sessions share prewarmed cost models so "
-            "churn_overhead isolates the dynamics machinery; fit_seconds "
-            "times one fit_params call at the acceptance operating "
-            "point; the three boolean gates are deterministic on any "
-            "host"
-        ),
-        scope: dynamics_entry,
-    }
-
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    substrate_path = args.output_dir / "BENCH_substrate.json"
-    sweep_path = args.output_dir / "BENCH_sweep.json"
-    kernels_path = args.output_dir / "BENCH_kernels.json"
-    obs_path = args.output_dir / "BENCH_obs.json"
-    discover_path = args.output_dir / "BENCH_discover.json"
-    scale_path = args.output_dir / "BENCH_scale.json"
-    tuning_path = args.output_dir / "BENCH_tuning.json"
-    serve_path = args.output_dir / "BENCH_serve.json"
-    dynamics_path = args.output_dir / "BENCH_dynamics.json"
-    regressed = False
-    if args.check:
-        print("regression gate (limit "
-              f"{(REGRESSION_LIMIT - 1) * 100:.0f}%):")
-        regressed = check_regression(
-            sweep_path, sweep_entry["serial_seconds"], "serial_seconds", scope
-        )
-        cache = sweep_entry["cache"]
-        warm_ok = (
-            cache["warm_seconds"] <= cache["cold_seconds"] * WARM_CACHE_LIMIT
-            and cache["outputs_identical"]
-        )
-        print(f"  warm cache: {cache['warm_seconds']:.3f}s vs cold "
-              f"{cache['cold_seconds']:.3f}s, outputs identical: "
-              f"{cache['outputs_identical']} -> "
-              f"{'ok' if warm_ok else 'REGRESSION'}")
-        regressed |= not warm_ok
-        for name, bench in kernels_entry.items():
-            kernel_ok = bench["speedup"] >= KERNEL_SPEEDUP_FLOOR
-            print(f"  kernel {name}: {bench['speedup']:.1f}x "
-                  f"(floor {KERNEL_SPEEDUP_FLOOR:.0f}x) -> "
-                  f"{'ok' if kernel_ok else 'REGRESSION'}")
-            regressed |= not kernel_ok
-        regressed |= bench_obs_overhead.check_overhead(obs_entry)
-        for path, checker, entry in (
-            (discover_path, bench_discover.check_discover, discover_entry),
-            (scale_path, bench_scale.check_scale, scale_entry),
-            (tuning_path, bench_tuning.check_tuning, tuning_entry),
-            (serve_path, bench_serve.check_serve, serve_entry),
-            (dynamics_path, bench_dynamics.check_dynamics, dynamics_entry),
-        ):
-            mismatch = machine_mismatch(path)
-            if mismatch:
-                print(f"  {path.name}: committed on a different machine "
-                      f"({mismatch}); refusing the timing comparison")
-            regressed |= checker(path, entry, scope, compare=mismatch is None)
-    else:
-        # Preserve the other scope ("full" vs "quick") when present so a
-        # --quick run never clobbers the committed full-run numbers.
-        for path, doc in ((substrate_path, substrate_doc),
-                          (sweep_path, sweep_doc),
-                          (kernels_path, kernels_doc),
-                          (obs_path, obs_doc),
-                          (discover_path, discover_doc),
-                          (scale_path, scale_doc),
-                          (tuning_path, tuning_doc),
-                          (serve_path, serve_doc),
-                          (dynamics_path, dynamics_doc)):
-            if path.exists():
-                previous = json.loads(path.read_text())
-                for key in ("full", "quick"):
-                    if key in previous and key not in doc:
-                        doc[key] = previous[key]
-            path.write_text(json.dumps(doc, indent=2) + "\n")
-            print(f"wrote {path}")
-    return 1 if regressed else 0
+    for path in (SRC, REPO_ROOT / "benchmarks"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    output_dir = args.output_dir
+    if output_dir is None and not args.check:
+        output_dir = REPO_ROOT
+    return run_suite(
+        benches if benches is not None else registry(args.runs, args.jobs),
+        quick=args.quick, check_gates=args.check, output_dir=output_dir,
+    )
 
 
 if __name__ == "__main__":

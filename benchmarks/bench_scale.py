@@ -13,11 +13,10 @@ the object-event path, writing ``BENCH_scale.json``:
   (the object path takes minutes there; the 10^3 scales already pin
   its equivalence), gated on completion within an absolute ceiling.
 
-``--check`` gates three things: bit-identical macro/object results at
-the dual-path scales, the macro speedup floor on the send-heavy 10^3
-broadcast (:data:`MACRO_SPEEDUP_FLOOR`), and a gross macro wall-clock
-regression vs the committed artifact (wired into ``bench_runner.py
---check``; cross-machine comparisons are refused by the runner).
+``--check`` gates bit-identical macro/object results at the dual-path
+scales, the macro speedup floor on the send-heavy 10^3 broadcast
+(:data:`MACRO_SPEEDUP_FLOOR`), the 10^4 ceiling, and a gross macro
+wall-clock regression vs the committed artifact.
 
 ``--quick`` shrinks every scale to CI-smoke size (128 leaves, no 10^4
 run) and only gates equivalence plus a token speedup floor.
@@ -25,16 +24,9 @@ run) and only gates equivalence plus a token speedup floor.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Committed floor on the macro-vs-object speedup of the send-heavy
 #: 10^3-leaf broadcast (the tentpole's acceptance number).
@@ -141,7 +133,7 @@ def _bench_scale(label: str, family: str, gen_kwargs: dict, collective: str,
     return entry
 
 
-def run_scale(quick: bool) -> dict:
+def _run(quick: bool) -> dict:
     """Time each scale; dual-path scales also assert bit-equivalence."""
     scales = QUICK_SCALES if quick else SCALES
     repeats = 1 if quick else 2
@@ -155,101 +147,43 @@ def run_scale(quick: bool) -> dict:
     }
 
 
-def check_scale(
-    artifact: Path, entry: dict, scope: str, compare: bool = True,
-) -> bool:
-    """True when the macro engine regresses: divergent results, a
-    blown speedup floor or 10^4 ceiling, or a gross slowdown.
-
-    ``compare=False`` (the runner detected a machine mismatch) keeps
-    the hard gates but skips the committed-timing comparison.
-    """
-    regressed = False
+def _gates(entry: dict) -> list[Gate]:
+    gates = []
     for label, bench in entry["scales"].items():
-        if "bit_identical" in bench and not bench["bit_identical"]:
-            print(f"  scale {label}: macro/object results DIVERGE "
-                  "-> REGRESSION")
-            regressed = True
+        if "bit_identical" in bench:
+            gates.append(Gate(f"scale {label} macro/object bit-identical",
+                              bool(bench["bit_identical"])))
         floor = bench.get("speedup_floor")
         if floor is not None:
-            ok = bench["speedup"] >= floor
-            print(f"  scale {label}: {bench['speedup']:.1f}x macro speedup "
-                  f"(floor {floor:.1f}x) -> {'ok' if ok else 'REGRESSION'}")
-            regressed |= not ok
-        if bench["leaves"] >= 10_000 and (
-            bench["macro_seconds"] > LARGE_LIMIT_SECONDS
-        ):
-            print(f"  scale {label}: {bench['macro_seconds']:.2f}s over the "
-                  f"{LARGE_LIMIT_SECONDS:.0f}s ceiling -> REGRESSION")
-            regressed = True
-    if not compare:
-        print(f"  {artifact.name}: timing comparison refused "
-              "(different machine); hard gates above still apply")
-        return regressed
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the timing gate")
-        return regressed
-    committed = json.loads(artifact.read_text()).get(scope, {}).get("scales", {})
-    for label, bench in entry["scales"].items():
-        baseline = committed.get(label, {}).get("macro_seconds")
-        if not baseline:
-            print(f"  committed {artifact.name} has no {scope} scale {label}; "
-                  "skipping its timing gate")
-            continue
-        ratio = bench["macro_seconds"] / baseline
-        over = ratio > REGRESSION_LIMIT
-        print(f"  scale {label}: {bench['macro_seconds']:.2f}s vs committed "
-              f"{baseline:.2f}s ({ratio:.2f}x) -> "
-              f"{'REGRESSION' if over else 'ok'}")
-        regressed |= over
-    return regressed
+            gates.append(Gate(f"scale {label} macro speedup",
+                              bench["speedup"], ">=", floor))
+        if bench["leaves"] >= 10_000:
+            gates.append(Gate(f"scale {label} macro seconds",
+                              bench["macro_seconds"], "<=", LARGE_LIMIT_SECONDS))
+    return gates
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (128 leaves, no 10^4 scale)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on divergent macro results, a blown "
-                        "speedup floor, or a gross timing regression")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_scale.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-
-    print("macro-event scale (10^3/10^4-leaf collectives):")
-    entry = run_scale(args.quick)
-    scope = "quick" if args.quick else "full"
-    path = args.output_dir / "BENCH_scale.json"
-    if args.check:
-        return 1 if check_scale(path, entry, scope) else 0
-
-    doc = {
-        "benchmark": "macro-event vs object-event collective wall-clock",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "1k dual-path scales assert bit-identical simulated time, "
-            "values, and superstep marks before timing; 10k scales run "
-            "the macro path only; macro_seconds is the best of the "
-            "repeats, object_seconds a single run"
-        ),
-        scope: entry,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_scale.json",
+    heading="macro-event scale (10^3/10^4-leaf collectives):",
+    benchmark="macro-event vs object-event collective wall-clock",
+    note=(
+        "1k dual-path scales assert bit-identical simulated time, "
+        "values, and superstep marks before timing; 10k scales run "
+        "the macro path only; macro_seconds is the best of the "
+        "repeats, object_seconds a single run"
+    ),
+    run=_run,
+    gates=_gates,
+    timings=lambda scope: {
+        f"scale {label}": bench.get("macro_seconds")
+        for label, bench in scope.get("scales", {}).items()
+    },
+    regression_limit=REGRESSION_LIMIT,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

@@ -25,16 +25,9 @@ nothing to amortise against — but keeps all three gates.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Simulated p99 ceiling at the reference offered rate (full scope: the
 #: calibrated experiment workload at 8 req/s measures ~0.29 s).
@@ -105,7 +98,7 @@ def _time_raw_universe(rate: float, quick: bool, repeats: int) -> float:
     return best
 
 
-def run_serve(quick: bool) -> dict:
+def _run(quick: bool) -> dict:
     """Sweep offered load, time the reference session vs raw DES."""
     from repro.serve import run_service
 
@@ -145,114 +138,39 @@ def run_serve(quick: bool) -> dict:
     }
 
 
-def check_serve(
-    artifact: Path, entry: dict, scope: str, compare: bool = True,
-) -> bool:
-    """True when serving regresses: a blown p99 ceiling, goodput that
-    dips before the knee, service overhead past the limit, or a gross
-    session-wall-clock slowdown vs the committed artifact.
-
-    ``compare=False`` (machine mismatch) keeps the deterministic gates
-    — simulated p99 and goodput shape don't depend on the host — and
-    skips the wall-clock comparison (overhead included: it is a ratio
-    of two timings on *this* host, so it always applies).
-    """
-    regressed = False
-
-    ceiling = entry["p99_ceiling_seconds"]
-    p99_ok = entry["reference_p99"] <= ceiling
-    print(f"  serve reference p99: {entry['reference_p99']:.3f}s "
-          f"(ceiling {ceiling:.2f}s at {entry['reference_rate']:g} req/s) -> "
-          f"{'ok' if p99_ok else 'REGRESSION'}")
-    regressed |= not p99_ok
-
+def _gates(entry: dict) -> list[Gate]:
     rates = sorted(float(rate) for rate in entry["curve"])
     goodputs = [entry["curve"][str(rate)]["goodput"] for rate in rates]
     knee = goodputs.index(max(goodputs))
-    monotone = all(
-        goodputs[i] <= goodputs[i + 1] for i in range(knee)
-    )
-    print(f"  serve goodput knee at {rates[knee]:g} req/s "
-          f"({goodputs[knee]:.2f} req/s); monotone up to it -> "
-          f"{'ok' if monotone else 'REGRESSION (goodput dips before knee)'}")
-    regressed |= not monotone
-
-    limit = entry["overhead_limit"]
-    lean = entry["service_overhead"] < limit
-    print(f"  serve overhead: {100 * entry['service_overhead']:+.1f}% vs raw "
-          f"DES (limit {100 * limit:.0f}%) -> "
-          f"{'ok' if lean else 'REGRESSION'}")
-    regressed |= not lean
-
-    if not compare:
-        print(f"  {artifact.name}: timing comparison refused "
-              "(different machine); deterministic gates above still apply")
-        return regressed
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the timing gate")
-        return regressed
-    baseline = (
-        json.loads(artifact.read_text()).get(scope, {}).get("session_seconds")
-    )
-    if not baseline:
-        print(f"  committed {artifact.name} has no {scope}.session_seconds; "
-              "skipping its timing gate")
-        return regressed
-    ratio = entry["session_seconds"] / baseline
-    over = ratio > REGRESSION_LIMIT
-    print(f"  serve session: {entry['session_seconds']:.3f}s vs committed "
-          f"{baseline:.3f}s ({ratio:.2f}x) -> "
-          f"{'REGRESSION' if over else 'ok'}")
-    regressed |= over
-    return regressed
+    return [
+        Gate(f"serve reference p99 at {entry['reference_rate']:g} req/s",
+             entry["reference_p99"], "<=", entry["p99_ceiling_seconds"]),
+        Gate(f"serve goodput monotone up to the knee at {rates[knee]:g} req/s",
+             all(goodputs[i] <= goodputs[i + 1] for i in range(knee))),
+        Gate("serve overhead vs raw DES", entry["service_overhead"], "<",
+             entry["overhead_limit"]),
+    ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (the built-in demo workload)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on a blown p99 ceiling, a goodput dip "
-                        "before the knee, or overhead past the limit")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_serve.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-
-    print("open-loop serving (goodput curve, reference p99, overhead):")
-    entry = run_serve(args.quick)
-    scope = "quick" if args.quick else "full"
-    path = args.output_dir / "BENCH_serve.json"
-    if args.check:
-        return 1 if check_serve(path, entry, scope) else 0
-
-    doc = {
-        "benchmark": "open-loop serving goodput, tail latency, overhead",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "curve/goodput/p99 are simulated (deterministic per seed); "
-            "session_seconds is the cold session wall-clock (kernel-cost "
-            "prewarm + service loop), raw_universe_seconds the bare "
-            "evaluate() of the same job universe; their ratio is the "
-            "service overhead"
-        ),
-        scope: entry,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_serve.json",
+    heading="open-loop serving (goodput curve, reference p99, overhead):",
+    benchmark="open-loop serving goodput, tail latency, overhead",
+    note=(
+        "curve/goodput/p99 are simulated (deterministic per seed); "
+        "session_seconds is the cold session wall-clock (kernel-cost "
+        "prewarm + service loop), raw_universe_seconds the bare "
+        "evaluate() of the same job universe; their ratio is the "
+        "service overhead"
+    ),
+    run=_run,
+    gates=_gates,
+    timings=lambda scope: {"serve session": scope.get("session_seconds")},
+    regression_limit=REGRESSION_LIMIT,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

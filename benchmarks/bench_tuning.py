@@ -25,17 +25,10 @@ keeps both hard gates.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from bench_runner import Bench, Gate
 
 #: Minimum cold-tune / warm-lookup wall-clock ratio ``--check`` accepts.
 WARM_LOOKUP_FLOOR = 50.0
@@ -127,7 +120,7 @@ def _bench_scenario(label: str, family: str, gen_kwargs: dict, op: str,
     return entry
 
 
-def run_tuning(quick: bool) -> dict:
+def _run(quick: bool) -> dict:
     """Tune every scenario; the timed one also measures cold vs warm."""
     scenarios = QUICK_SCENARIOS if quick else SCENARIOS
     timed = QUICK_TIMED_SCENARIO if quick else TIMED_SCENARIO
@@ -145,108 +138,44 @@ def run_tuning(quick: bool) -> dict:
     }
 
 
-def check_tuning(
-    artifact: Path, entry: dict, scope: str, compare: bool = True,
-) -> bool:
-    """True when the tuner regresses: a tuned plan slower than the
-    default, a missing expected win, a blown warm-lookup floor, or a
-    gross cold-tune slowdown vs the committed artifact.
-
-    ``compare=False`` (machine mismatch) keeps the hard gates and
-    skips the committed-timing comparison.
-    """
-    regressed = False
-    floor = entry["warm_lookup_floor"]
+def _gates(entry: dict) -> list[Gate]:
+    gates = []
     for label, bench in entry["scenarios"].items():
-        never_slower = bench["tuned_time"] <= bench["default_time"]
-        print(f"  tuning {label}: tuned {bench['tuned_time']:.4g}s vs "
-              f"default {bench['default_time']:.4g}s -> "
-              f"{'ok' if never_slower else 'REGRESSION (tuned slower)'}")
-        regressed |= not never_slower
+        gates.append(Gate(f"tuning {label} tuned vs default seconds",
+                          bench["tuned_time"], "<=", bench["default_time"]))
         if bench["expect_win"]:
-            won = bench["improvement"] >= entry["win_floor"]
-            print(f"  tuning {label}: {100 * bench['improvement']:.1f}% win "
-                  f"(floor {100 * entry['win_floor']:.0f}%) -> "
-                  f"{'ok' if won else 'REGRESSION'}")
-            regressed |= not won
+            gates.append(Gate(f"tuning {label} win", bench["improvement"],
+                              ">=", entry["win_floor"]))
         if "warm_ratio" in bench:
-            fast = bench["warm_ratio"] >= floor
-            print(f"  tuning {label}: warm lookup {bench['warm_ratio']:.0f}x "
-                  f"faster than cold tune (floor {floor:.0f}x) -> "
-                  f"{'ok' if fast else 'REGRESSION'}")
-            regressed |= not fast
-    if not compare:
-        print(f"  {artifact.name}: timing comparison refused "
-              "(different machine); hard gates above still apply")
-        return regressed
-    if not artifact.exists():
-        print(f"  no committed {artifact.name}; skipping the timing gate")
-        return regressed
-    committed = (
-        json.loads(artifact.read_text()).get(scope, {}).get("scenarios", {})
-    )
-    for label, bench in entry["scenarios"].items():
-        baseline = committed.get(label, {}).get("cold_seconds")
-        if not baseline:
-            print(f"  committed {artifact.name} has no {scope} scenario "
-                  f"{label}; skipping its timing gate")
-            continue
-        ratio = bench["cold_seconds"] / baseline
-        over = ratio > REGRESSION_LIMIT
-        print(f"  tuning {label}: cold {bench['cold_seconds']:.2f}s vs "
-              f"committed {baseline:.2f}s ({ratio:.2f}x) -> "
-              f"{'REGRESSION' if over else 'ok'}")
-        regressed |= over
-    return regressed
+            gates.append(Gate(f"tuning {label} cold/warm ratio",
+                              bench["warm_ratio"], ">=",
+                              entry["warm_lookup_floor"]))
+    return gates
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (32-leaf machines only)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on a tuned-slower-than-default result, "
-                        "a missed expected win, or a blown warm floor")
-    parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
-                        help="where to write BENCH_tuning.json")
-    args = parser.parse_args(argv)
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-
-    print("auto-tuned schedules (cold tune, warm lookup, tuned vs default):")
-    entry = run_tuning(args.quick)
-    scope = "quick" if args.quick else "full"
-    path = args.output_dir / "BENCH_tuning.json"
-    if args.check:
-        return 1 if check_tuning(path, entry, scope) else 0
-
-    doc = {
-        "benchmark": "schedule auto-tuning cost and wins",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.system().lower(),
-        },
-        "note": (
-            "cold_seconds = full tune (enumerate + vectorized pricing + "
-            "DES-validated shortlist) into a fresh cache; warm_seconds = "
-            "best of 5 decision-cache resolutions with the in-memory "
-            "memo dropped; tuned can never be slower than default "
-            "because the default plan is always in the validated "
-            "shortlist"
-        ),
-        scope: entry,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key in ("full", "quick"):
-            if key in previous and key not in doc:
-                doc[key] = previous[key]
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
+BENCH = Bench(
+    artifact="BENCH_tuning.json",
+    heading="auto-tuned schedules (cold tune, warm lookup, tuned vs default):",
+    benchmark="schedule auto-tuning cost and wins",
+    note=(
+        "cold_seconds = full tune (enumerate + vectorized pricing + "
+        "DES-validated shortlist) into a fresh cache; warm_seconds = "
+        "best of 5 decision-cache resolutions with the in-memory "
+        "memo dropped; tuned can never be slower than default "
+        "because the default plan is always in the validated "
+        "shortlist"
+    ),
+    run=_run,
+    gates=_gates,
+    timings=lambda scope: {
+        f"tuning {label} cold": bench.get("cold_seconds")
+        for label, bench in scope.get("scenarios", {}).items()
+    },
+    regression_limit=REGRESSION_LIMIT,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from bench_runner import main
+
+    raise SystemExit(main(benches=[BENCH]))

@@ -81,9 +81,8 @@ def make_runtime(
     plan at all); ``delivery`` sets the default send policy;
     ``serialize_nic=False`` is the ablation that gives NIC ports
     unlimited parallel channels.  ``macro`` selects the macro-event
-    fast path (``None`` auto-engages it on fault-free untraced runs;
-    note an *empty* fault plan still builds an injector and therefore
-    falls back to the object path).
+    fast path (``None`` auto-engages it on fault-free untraced runs,
+    an empty fault plan included).
     """
     injector = None
     if faults is not None:

@@ -262,8 +262,8 @@ class HbspRuntime:
         if not capable:
             raise HbspError(
                 "macro=True needs a fault-free, untraced machine: no "
-                "injector, delivery policy, tracer, or NIC-serialization "
-                "ablation"
+                "injected faults, delivery policy, tracer, or "
+                "NIC-serialization ablation"
             )
         if not safe:
             raise HbspError(

@@ -172,13 +172,14 @@ class VirtualMachine:
         The macro engine (:mod:`repro.sim.macro`) batch-computes
         fault-free superstep timing arithmetically, so every hook that
         observes or perturbs individual message events must be off: no
-        fault injector, no delivery policy (even an unarmed one routes
-        through :meth:`run`'s clock-stop semantics), no enabled
-        tracer, and NIC serialization on (the timeline fold models the
-        serialized port).
+        fault injector with a non-empty plan (an empty plan injects
+        nothing and counts as none), no delivery policy (even an
+        unarmed one routes through :meth:`run`'s clock-stop
+        semantics), no enabled tracer, and NIC serialization on (the
+        timeline fold models the serialized port).
         """
         return (
-            self.injector is None
+            (self.injector is None or self.injector.plan.is_empty)
             and self.delivery is None
             and not self.tracer.enabled
             and self.serialize_nic

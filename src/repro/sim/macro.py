@@ -28,8 +28,8 @@ operations of :mod:`repro.pvm.task` / :mod:`repro.hbsplib.context`:
   same single addition.
 
 Engagement is gated twice: :attr:`repro.pvm.vm.VirtualMachine.
-macro_capable` (no injector, no delivery policy, no structured trace,
-serialized NIC) and a per-program :func:`macro_safe` opt-in asserting
+macro_capable` (no injected faults, no delivery policy, no structured
+trace, serialized NIC) and a per-program :func:`macro_safe` opt-in asserting
 the program only uses the batched surface (``ctx.send`` / ``ctx.sync``
 / ``ctx.compute`` / message taking — no ad-hoc ``task`` access).  Any
 live hook falls back to the object path; see

@@ -21,7 +21,7 @@ from repro.cli import build_preset
 from repro.cluster import Cluster, ClusterTopology, MachineSpec, NetworkSpec
 from repro.collectives import run_broadcast, run_gather
 from repro.errors import HbspError
-from repro.faults import DeliveryPolicy, FaultPlan
+from repro.faults import DeliveryPolicy, FaultPlan, straggler_plan
 from repro.hbsplib.runtime import HbspRuntime
 from repro.sim.macro import macro_safe
 
@@ -205,12 +205,15 @@ class TestFallbackToObjectPath:
         outcome = run_gather(build_preset("testbed:4"), N, seed=1, trace=True)
         assert outcome.runtime.macro is None
 
-    def test_empty_fault_plan_forces_object_path(self):
-        # An injector is an injector, even with nothing planned.
+    def test_empty_fault_plan_takes_macro_path(self):
+        # An empty plan injects nothing, so it counts as no injector.
+        bare = run_gather(build_preset("testbed:4"), N, seed=1)
         outcome = run_gather(
             build_preset("testbed:4"), N, seed=1, faults=FaultPlan.empty()
         )
-        assert outcome.runtime.macro is None
+        assert outcome.runtime.macro is not None
+        assert outcome.time == bare.time
+        assert outcome.values == bare.values
 
     def test_delivery_policy_forces_object_path(self):
         outcome = run_gather(
@@ -246,7 +249,7 @@ class TestMacroInsistRaises:
         with pytest.raises(HbspError, match="fault-free, untraced"):
             run_gather(
                 build_preset("testbed:4"), N, seed=1,
-                faults=FaultPlan.empty(), macro=True,
+                faults=straggler_plan("sgi-octane"), macro=True,
             )
 
     def test_unmarked_program_refused(self):
